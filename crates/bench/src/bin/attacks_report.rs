@@ -27,12 +27,18 @@ fn main() {
     let config = simkit::config::SystemConfig::paper_default();
     let store = options.open_store();
     let mut events = bench::cli::open_events(&options);
-    let domain =
-        bench::domain_switch_session(options.scale, &config, options.threads, store.as_ref())
-            .run_with_events(match &mut events {
-                Some(file) => Some(file),
-                None => None,
-            });
+    let domain = bench::figure_session(
+        "domain",
+        options.scale,
+        &config,
+        options.threads,
+        store.as_ref(),
+    )
+    .expect("domain is a registered figure")
+    .run_with_events(match &mut events {
+        Some(file) => Some(file),
+        None => None,
+    });
     bench::cli::write_html(&options, || {
         bench::render::figure_document("domain", &domain, &options.run_id)
             .expect("domain is a registered figure")
@@ -48,6 +54,6 @@ fn main() {
         println!("{}", document.to_string_pretty());
     } else {
         println!("{}", bench::security_matrix(&config));
-        println!("{}", bench::Figure::from_report(&domain).render());
+        println!("{}", domain.render());
     }
 }

@@ -10,7 +10,7 @@
 //! restarts any that crash (up to `--max-restarts` each; the store's
 //! expiring leases hand the crashed shard's units to its replacement), and
 //! finally folds every attempt's log into the merged figure report on
-//! stdout — byte-identical to a single-process `figN --json` run.
+//! stdout — byte-identical to a single-process `figure NAME --json` run.
 //!
 //! Exit status: 0 when the merge covered the whole grid, 1 when any cell
 //! was left unresolved, 2 on usage errors. See [`bench::fleet`] for the

@@ -4,7 +4,7 @@
 //! same pure derivation every shard used), reads any number of JSONL event
 //! logs, and emits the merged [`RunReport`](simsys::session::RunReport) as
 //! JSON on stdout — identical in content to what a single-process
-//! `figN --json` run of the same grid produces. Events are deduplicated per
+//! `figure NAME --json` run of the same grid produces. Events are deduplicated per
 //! work unit with execution provenance preferred, so feeding it a killed
 //! shard's partial log alongside the resumed run's log keeps the
 //! simulated-once accounting intact.
@@ -19,7 +19,7 @@
 //!
 //! `--html FILE` renders the merged report as the figure's self-contained
 //! HTML page (`--html-only` suppresses the JSON): a multi-host run produces
-//! exactly the artefact a local `figN --html` run would, because the merged
+//! exactly the artefact a local `figure NAME --html` run would, because the merged
 //! report is bit-identical to the local one.
 //!
 //! # Watching a live fleet

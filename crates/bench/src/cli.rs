@@ -1,6 +1,10 @@
-//! The tiny shared argument parser behind every figure binary.
+//! The tiny shared argument parser behind `figure`, `shard`, `report`,
+//! `attacks_report` and `speclint`.
 //!
-//! All the binaries accept the same flags:
+//! `figure <name>` passes every argument after the figure name here
+//! unchanged; the other binaries pass their whole command line (`shard`
+//! and `merge` first strip their own `--figure NAME`). All of them accept
+//! the same flags:
 //!
 //! * `--json` — emit the machine-readable report instead of the text table,
 //! * `--scale <tiny|small|large>` — workload scale (default `small`),
@@ -16,9 +20,10 @@
 //!   per resolved work unit to `file` while the run progresses,
 //! * `--shard-id <i> --shard-count <n>` — run as shard *i* of an *n*-process
 //!   cooperating run (requires `--store` and `--events`; shards coordinate
-//!   through lease files under the store). The binary then prints a
-//!   [`simsys::runner::ShardSummary`] instead of a report; fold the event logs with the
-//!   `merge` binary,
+//!   through lease files under the store). Only `shard --figure NAME` runs
+//!   a shard; it prints a [`simsys::runner::ShardSummary`] instead of a
+//!   report, and `merge` folds the event logs. `figure`, `report`,
+//!   `attacks_report` and `speclint` reject the flag with exit code 2,
 //! * `--run-id <id>` — the identifier shared by every shard of one logical
 //!   run (and reused when resuming it). Required with `--shard-id`, and must
 //!   be unique per logical run,
@@ -29,7 +34,7 @@
 //! * `--html <file>` — additionally render the report as a self-contained
 //!   HTML page (inline SVG chart, inline CSS, no external assets) via
 //!   [`crate::render`]. On `report`, the page covers every figure plus the
-//!   domain-switch table; on a figure binary or `merge`, that one figure,
+//!   domain-switch table; on `figure` or `merge`, that one figure,
 //! * `--html-only` — with `--html`: write the HTML artefact and suppress the
 //!   stdout report,
 //! * `--metrics <file>` — on exit, append one [`obs::metrics`] snapshot of
@@ -40,10 +45,7 @@
 
 use std::path::PathBuf;
 
-use simkit::config::SystemConfig;
-use simkit::json::ToJson;
 use simsys::runner::ShardOptions;
-use simsys::session::{ExperimentSession, RunReport};
 use simsys::store::ResultStore;
 use workloads::Scale;
 
@@ -344,74 +346,6 @@ pub fn write_html(options: &CliOptions, html: impl FnOnce() -> String) {
             eprintln!("cannot write HTML report {}: {e}", path.display());
             std::process::exit(2);
         });
-    }
-}
-
-/// Standard main body for a figure binary: parse flags, open the store,
-/// build the *session* for the figure registered as `name` (see
-/// [`crate::FIGURE_NAMES`]), then either run it locally (printing JSON with
-/// `--json`, or Table 1 plus the rendered figure; `--html` additionally
-/// writes the figure's self-contained HTML page) or — with `--shard-id` —
-/// execute one shard of it against the shared store, streaming events to
-/// `--events` and printing the [`simsys::runner::ShardSummary`] as JSON.
-/// Every execution path goes through the [`simsys::runner`] pipeline.
-pub fn figure_main(
-    name: &str,
-    build: impl FnOnce(&CliOptions, &SystemConfig, Option<&ResultStore>) -> ExperimentSession,
-) {
-    figure_main_rendered(name, build, |report| {
-        crate::Figure::from_report(report).render()
-    });
-}
-
-/// [`figure_main`] with a custom text-mode rendering (used by `fig7`, whose
-/// figure is the invalidation-broadcast *rates* derived from the report's
-/// counters, not the normalised times). `--json` still emits the full
-/// [`RunReport`], and the sharded path is identical. (`--html` needs no
-/// such override: the chart shape is the registry's
-/// [`FigureMeta`](reportgen::FigureMeta), which already encodes the
-/// counter-ratio derivation.)
-pub fn figure_main_rendered(
-    name: &str,
-    build: impl FnOnce(&CliOptions, &SystemConfig, Option<&ResultStore>) -> ExperimentSession,
-    render: impl FnOnce(&RunReport) -> String,
-) {
-    let options = parse_or_exit();
-    let config = SystemConfig::paper_default();
-    let store = options.open_store();
-    let session = build(&options, &config, store.as_ref());
-    if let Some(shard) = options.shard_options() {
-        let mut events = open_events(&options).expect("--shard-id implies --events");
-        match session.run_sharded(&shard, &mut events) {
-            Ok(summary) => {
-                write_metrics(&options);
-                println!("{}", summary.to_json().to_string_pretty());
-            }
-            Err(e) => {
-                eprintln!("shard {} failed: {e}", shard.shard_id);
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let mut events = open_events(&options);
-    let report = session.run_with_events(match &mut events {
-        Some(file) => Some(file),
-        None => None,
-    });
-    write_metrics(&options);
-    write_html(&options, || {
-        crate::render::figure_document(name, &report, &options.run_id)
-            .unwrap_or_else(|| panic!("figure binaries pass registered names; got `{name}`"))
-    });
-    if options.html_only {
-        return;
-    }
-    if options.json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        println!("{}", crate::table1());
-        println!("{}", render(&report));
     }
 }
 

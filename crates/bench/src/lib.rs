@@ -1,40 +1,32 @@
-//! Shared harness code behind the figure binaries and benches.
+//! Shared harness code behind the `figure` binary and its siblings.
 //!
-//! Every table and figure in the paper's evaluation section (§6) has a
-//! function here that produces its data, and a thin binary in `src/bin/` that
-//! prints it. All figure functions run on
-//! [`simsys::session::ExperimentSession`], so baselines are memoized per
-//! workload and grid cells run in parallel; each returns a structured
-//! [`RunReport`] that serialises to JSON (`--json` on every binary) or
-//! renders as the classic aligned text table.
+//! Every grid in the paper's evaluation section (§6) is registered here by
+//! name: [`figure_session`] resolves any [`FIGURE_NAMES`] entry to its
+//! *un-run* [`simsys::session::ExperimentSession`], so baselines are
+//! memoized per workload and grid cells run in parallel. The run yields a
+//! structured [`RunReport`](simsys::session::RunReport) that serialises to JSON (`--json`) or renders
+//! as the classic aligned text table ([`render::figure_text`]).
 //!
-//! | Paper artefact | Function | Binary |
-//! |----------------|----------|--------|
-//! | Table 1        | [`table1`] | `table1` |
-//! | Figure 3       | [`figure3`] | `fig3` |
-//! | Figure 4       | [`figure4`] | `fig4` |
-//! | Figure 5       | [`figure5`] | `fig5` |
-//! | Figure 6       | [`figure6`] | `fig6` |
-//! | Figure 7       | [`figure7`] | `fig7` |
-//! | Figure 8       | [`figure8`] | `fig8` |
-//! | Figure 9       | [`figure9`] | `fig9` |
-//! | §4.8 stress    | [`domain_switch_report`] | `attacks_report` |
+//! | Paper artefact | Entry point | Binary |
+//! |----------------|-------------|--------|
+//! | Table 1        | [`table1`] | `figure table1` |
+//! | Figures 3–9    | [`figure_session`]`("fig3")`…`("fig9")` | `figure fig3` … `figure fig9` |
+//! | Defense zoo    | [`figure_session`]`("shootout")` | `figure shootout` |
+//! | §4.8 stress    | [`figure_session`]`("domain")` | `figure domain`, `attacks_report` |
 //! | Attacks 1–6    | [`security_matrix`] | `attacks_report` |
 //! | Static census  | [`lint::corpus_census`] | `speclint` |
 //!
-//! Each `figureN` has a `figureN_session` sibling returning the *un-run*
-//! [`ExperimentSession`], and [`figure_session`] resolves the same sessions
-//! by name (`"fig3"`…`"fig9"`, `"domain"`). The named form is what the
-//! `shard` and `merge` binaries use: every process of a multi-host run
-//! rebuilds the identical plan from the figure name, then coordinates purely
-//! through the shared store directory (see [`simsys::runner`]).
+//! The named form is also what the `shard`, `merge` and `fleet` binaries
+//! use: every process of a multi-host run rebuilds the identical plan from
+//! the figure name, then coordinates purely through the shared store
+//! directory (see [`simsys::runner`]).
 //!
 //! The `report` binary regenerates everything at once into one JSON
 //! document, and — with `--html` — into one self-contained HTML page: one
 //! SVG chart per figure plus the domain-switch summary table, rendered by
 //! the [`reportgen`] crate through this crate's chart-metadata registry
-//! ([`render::figure_meta`]). Each figure binary and `merge` accept the same
-//! flag for their single figure.
+//! ([`render::figure_meta`]). `figure` and `merge` accept the same flag
+//! for their single figure.
 
 #![forbid(unsafe_code)]
 
@@ -47,104 +39,12 @@ pub mod watch;
 
 use simkit::config::{ProtectionConfig, SystemConfig};
 use simkit::json::{Json, ToJson};
-use simkit::stats::geometric_mean;
 
 use attacks::AttackOutcome;
 use defenses::{DefenseKind, DefenseRegistry};
-use simsys::session::{ExperimentSession, RunReport};
+use simsys::session::ExperimentSession;
 use simsys::store::ResultStore;
 use workloads::{domain_switch_suite, parsec_suite, spec_suite, Scale, Workload};
-
-/// One row of a normalised-execution-time figure: a workload plus one value
-/// per configuration, in the same order as the `configs` header.
-#[derive(Debug, Clone)]
-pub struct FigureRow {
-    /// Workload (benchmark) name.
-    pub workload: String,
-    /// Normalised execution time per configuration (1.0 = unprotected).
-    pub values: Vec<f64>,
-}
-
-/// A complete figure: the configuration labels and one row per workload, plus
-/// the geometric-mean row the paper reports.
-#[derive(Debug, Clone)]
-pub struct Figure {
-    /// Figure title.
-    pub title: String,
-    /// One label per configuration column.
-    pub configs: Vec<String>,
-    /// One row per workload.
-    pub rows: Vec<FigureRow>,
-}
-
-impl Figure {
-    /// The normalised-execution-time view of a session report.
-    pub fn from_report(report: &RunReport) -> Figure {
-        Figure {
-            title: report.title.clone(),
-            configs: report.columns.clone(),
-            rows: (0..report.workloads.len())
-                .map(|w| FigureRow {
-                    workload: report.workloads[w].clone(),
-                    values: (0..report.columns.len())
-                        .map(|c| report.cell(w, c).normalized_time)
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The geometric mean of each column across all rows.
-    pub fn geomeans(&self) -> Vec<f64> {
-        (0..self.configs.len())
-            .map(|c| {
-                let column: Vec<f64> = self.rows.iter().map(|r| r.values[c]).collect();
-                geometric_mean(&column)
-            })
-            .collect()
-    }
-
-    /// Renders the figure as an aligned text table (what the binaries print).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        out.push_str(&format!("{:<16}", "workload"));
-        for c in &self.configs {
-            out.push_str(&format!("{c:>24}"));
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&format!("{:<16}", row.workload));
-            for v in &row.values {
-                out.push_str(&format!("{v:>24.3}"));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("{:<16}", "geomean"));
-        for g in self.geomeans() {
-            out.push_str(&format!("{g:>24.3}"));
-        }
-        out.push('\n');
-        out
-    }
-}
-
-fn session(
-    title: &str,
-    scale: Scale,
-    workloads: Vec<Workload>,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    ExperimentSession::new()
-        .title(title)
-        .scale(scale)
-        .workloads(workloads)
-        .config(config.clone())
-        .threads(threads)
-        .store(store.cloned())
-}
 
 /// Table 1: the simulated system configuration.
 pub fn table1() -> String {
@@ -168,191 +68,6 @@ pub fn table1_json() -> Json {
         ("data_filter_ways", Json::UInt(cfg.data_filter.ways as u64)),
         ("description", Json::Str(format!("{cfg}"))),
     ])
-}
-
-/// The [`ExperimentSession`] behind [`figure3`], un-run (for planning,
-/// sharding, or event streaming).
-pub fn figure3_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 3: SPEC CPU2006-like, normalised execution time (lower is better)",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::figure3_set())
-}
-
-/// Figure 3: normalised execution time on the SPEC-CPU2006-like suite for
-/// MuonTrap, InvisiSpec (both variants) and STT (both variants).
-pub fn figure3(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure3_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure4`], un-run.
-pub fn figure4_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 4: Parsec-like (4 threads), normalised execution time (lower is better)",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::figure3_set())
-}
-
-/// Figure 4: normalised execution time on the Parsec-like suite (4 threads).
-pub fn figure4(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure4_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure5`], un-run.
-pub fn figure5_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    let sizes: [u64; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
-    let sweep = sizes.map(|size| {
-        // Fully associative at every size, as in the paper's sweep.
-        (
-            format!("{size} B"),
-            config.with_data_filter(size, (size / config.line_bytes) as usize),
-        )
-    });
-    session(
-        "Figure 5: filter-cache size sweep (fully associative), Parsec-like",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses([DefenseKind::MuonTrap])
-    .config_sweep(sweep)
-}
-
-/// Figure 5: Parsec-like performance as the (fully-associative) data filter
-/// cache is swept from 64 B to 4 KiB. One baseline per workload: the swept
-/// filter-cache geometry is invisible to the unprotected machine.
-pub fn figure5(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure5_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure6`], un-run.
-pub fn figure6_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    let ways: [usize; 6] = [1, 2, 4, 8, 16, 32];
-    let sweep = ways.map(|w| (format!("{w}-way"), config.with_data_filter(2048, w)));
-    session(
-        "Figure 6: 2 KiB filter-cache associativity sweep, Parsec-like",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses([DefenseKind::MuonTrap])
-    .config_sweep(sweep)
-}
-
-/// Figure 6: Parsec-like performance as the associativity of a 2 KiB filter
-/// cache is swept from direct-mapped to fully associative.
-pub fn figure6(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure6_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure7`], un-run.
-pub fn figure7_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 7: fraction of writes triggering filter-cache invalidation broadcasts",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses([DefenseKind::MuonTrap])
-}
-
-/// Figure 7: runs the SPEC-like suite under full MuonTrap; the figure's
-/// invalidation-broadcast rates come from [`invalidate_rates`] over the
-/// returned report's cell statistics.
-pub fn figure7(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure7_session(scale, config, threads, store).run()
-}
-
-/// The per-workload invalidation-broadcast rates behind figure 7, derived
-/// from a [`figure7`] report's `muontrap.*` counters.
-pub fn invalidate_rates(report: &RunReport) -> Figure {
-    Figure {
-        title: report.title.clone(),
-        configs: vec!["invalidate rate".to_string()],
-        rows: report
-            .cells
-            .iter()
-            .map(|cell| {
-                let stores = cell.stats.counter("muontrap.committed_stores");
-                let broadcasts = cell.stats.counter("muontrap.store_upgrade_broadcasts");
-                let rate = if stores == 0 {
-                    0.0
-                } else {
-                    broadcasts as f64 / stores as f64
-                };
-                FigureRow {
-                    workload: cell.workload.clone(),
-                    values: vec![rate],
-                }
-            })
-            .collect(),
-    }
 }
 
 /// The cumulative protection configurations of figures 8 and 9, in the order
@@ -424,140 +139,20 @@ pub fn cumulative_protection_kinds(include_parallel_l1: bool) -> Vec<(String, De
     kinds
 }
 
-/// The [`ExperimentSession`] behind [`figure8`], un-run.
-pub fn figure8_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 8: cumulative protection mechanisms, Parsec-like",
-        scale,
-        parsec_suite(scale, config.cores),
-        config,
-        threads,
-        store,
-    )
-    .defenses_labeled(cumulative_protection_kinds(false))
-}
-
-/// Figure 8: cumulatively adding protection mechanisms, Parsec-like suite.
-pub fn figure8(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure8_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`figure9`], un-run.
-pub fn figure9_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Figure 9: cumulative protection mechanisms (+ parallel L1d), SPEC-like",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses_labeled(cumulative_protection_kinds(true))
-}
-
-/// Figure 9: cumulatively adding protection mechanisms plus the parallel
-/// L0/L1 lookup option, SPEC-like suite.
-pub fn figure9(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    figure9_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`shootout`], un-run.
-pub fn shootout_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Defense shoot-out: every modelled defense, SPEC-like, normalised execution time",
-        scale,
-        spec_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::shootout_set())
-}
-
-/// The cross-defense shoot-out: the SPEC-like suite under every member of
-/// the defense zoo ([`DefenseKind::shootout_set`]) — the insecure L0, Fence,
-/// DelayLoads, SafeBet, MuonTrap, InvisiSpec-Spectre and STT-Spectre — all
-/// normalised to the unprotected baseline, so the cost of each protection
-/// family lands on one axis. Shares its MuonTrap/InvisiSpec/STT cells (and
-/// every baseline) with figure 3 through the result store.
-pub fn shootout(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    shootout_session(scale, config, threads, store).run()
-}
-
-/// The [`ExperimentSession`] behind [`domain_switch_report`], un-run.
-pub fn domain_switch_session(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> ExperimentSession {
-    session(
-        "Domain-switch stress (§4.8): syscall/sandbox-heavy kernels, normalised execution time",
-        scale,
-        domain_switch_suite(scale),
-        config,
-        threads,
-        store,
-    )
-    .defenses(DefenseKind::figure3_set())
-}
-
-/// The §4.8 domain-switch stress grid: the syscall/sandbox-transition
-/// kernels (which force a filter-cache flush every few hundred instructions)
-/// under the figure-3 defense set. Printed by `attacks_report` alongside the
-/// security matrix and included in the `report` document.
-pub fn domain_switch_report(
-    scale: Scale,
-    config: &SystemConfig,
-    threads: usize,
-    store: Option<&ResultStore>,
-) -> RunReport {
-    domain_switch_session(scale, config, threads, store).run()
-}
-
 /// The names [`figure_session`] resolves, in `report`-document order.
 pub const FIGURE_NAMES: [&str; 9] = [
     "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "shootout", "domain",
 ];
 
 /// Resolves a figure name (see [`FIGURE_NAMES`]) to its un-run
-/// [`ExperimentSession`].
+/// [`ExperimentSession`]; `None` for unknown names.
 ///
-/// This is the planning entry point of the multi-process workflow: the
-/// `shard` and `merge` binaries both rebuild the session from the name, so
-/// every process of a run derives the identical
+/// This is the planning entry point of every front end: `figure` runs the
+/// session locally, while the `shard` and `merge` binaries both rebuild it
+/// from the name, so every process of a run derives the identical
 /// [`Plan`](simsys::runner::Plan) and they coordinate purely through the
-/// shared store directory.
+/// shared store directory. Titles, column labels, suites and sweeps feed
+/// the unit fingerprints, so they must not drift.
 pub fn figure_session(
     name: &str,
     scale: Scale,
@@ -565,19 +160,90 @@ pub fn figure_session(
     threads: usize,
     store: Option<&ResultStore>,
 ) -> Option<ExperimentSession> {
-    let build = match name {
-        "fig3" => figure3_session,
-        "fig4" => figure4_session,
-        "fig5" => figure5_session,
-        "fig6" => figure6_session,
-        "fig7" => figure7_session,
-        "fig8" => figure8_session,
-        "fig9" => figure9_session,
-        "shootout" => shootout_session,
-        "domain" => domain_switch_session,
+    let session = |title: &str, workloads: Vec<Workload>| {
+        ExperimentSession::new()
+            .title(title)
+            .scale(scale)
+            .workloads(workloads)
+            .config(config.clone())
+            .threads(threads)
+            .store(store.cloned())
+    };
+    let session = match name {
+        // MuonTrap, InvisiSpec (both variants) and STT (both variants).
+        "fig3" => session(
+            "Figure 3: SPEC CPU2006-like, normalised execution time (lower is better)",
+            spec_suite(scale),
+        )
+        .defenses(DefenseKind::figure3_set()),
+        "fig4" => session(
+            "Figure 4: Parsec-like (4 threads), normalised execution time (lower is better)",
+            parsec_suite(scale, config.cores),
+        )
+        .defenses(DefenseKind::figure3_set()),
+        // One baseline per workload: the swept filter-cache geometry is
+        // invisible to the unprotected machine.
+        "fig5" => {
+            let sizes: [u64; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
+            let sweep = sizes.map(|size| {
+                // Fully associative at every size, as in the paper's sweep.
+                (
+                    format!("{size} B"),
+                    config.with_data_filter(size, (size / config.line_bytes) as usize),
+                )
+            });
+            session(
+                "Figure 5: filter-cache size sweep (fully associative), Parsec-like",
+                parsec_suite(scale, config.cores),
+            )
+            .defenses([DefenseKind::MuonTrap])
+            .config_sweep(sweep)
+        }
+        "fig6" => {
+            let ways: [usize; 6] = [1, 2, 4, 8, 16, 32];
+            let sweep = ways.map(|w| (format!("{w}-way"), config.with_data_filter(2048, w)));
+            session(
+                "Figure 6: 2 KiB filter-cache associativity sweep, Parsec-like",
+                parsec_suite(scale, config.cores),
+            )
+            .defenses([DefenseKind::MuonTrap])
+            .config_sweep(sweep)
+        }
+        // The figure's rates are `muontrap.*` counter ratios of each cell;
+        // the registry entry in `render` names the two counters.
+        "fig7" => session(
+            "Figure 7: fraction of writes triggering filter-cache invalidation broadcasts",
+            spec_suite(scale),
+        )
+        .defenses([DefenseKind::MuonTrap]),
+        "fig8" => session(
+            "Figure 8: cumulative protection mechanisms, Parsec-like",
+            parsec_suite(scale, config.cores),
+        )
+        .defenses_labeled(cumulative_protection_kinds(false)),
+        "fig9" => session(
+            "Figure 9: cumulative protection mechanisms (+ parallel L1d), SPEC-like",
+            spec_suite(scale),
+        )
+        .defenses_labeled(cumulative_protection_kinds(true)),
+        // Every member of the defense zoo on one axis. Shares its
+        // MuonTrap/InvisiSpec/STT cells (and every baseline) with figure 3
+        // through the result store.
+        "shootout" => session(
+            "Defense shoot-out: every modelled defense, SPEC-like, normalised execution time",
+            spec_suite(scale),
+        )
+        .defenses(DefenseKind::shootout_set()),
+        // The §4.8 stress grid: kernels that force a filter-cache flush every
+        // few hundred instructions, under the figure-3 defense set.
+        "domain" => session(
+            "Domain-switch stress (§4.8): syscall/sandbox-heavy kernels, normalised execution time",
+            domain_switch_suite(scale),
+        )
+        .defenses(DefenseKind::figure3_set()),
         _ => return None,
     };
-    Some(build(scale, config, threads, store))
+    Some(session)
 }
 
 /// The raw outcome of every attack against every configuration the security
@@ -623,39 +289,9 @@ pub fn security_json(config: &SystemConfig) -> Json {
     )
 }
 
-/// Runs one workload under one defense and returns its simulated cycle count:
-/// exactly one simulation, no baseline. A convenience for ad-hoc throughput
-/// measurements (the benches time whole figure grids instead).
-pub fn one_run_cycles(workload: &Workload, kind: DefenseKind, config: &SystemConfig) -> u64 {
-    simsys::session::simulate(workload, kind, config).cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn figure_render_includes_geomean() {
-        let fig = Figure {
-            title: "test".to_string(),
-            configs: vec!["a".to_string(), "b".to_string()],
-            rows: vec![
-                FigureRow {
-                    workload: "w1".to_string(),
-                    values: vec![1.0, 2.0],
-                },
-                FigureRow {
-                    workload: "w2".to_string(),
-                    values: vec![4.0, 8.0],
-                },
-            ],
-        };
-        let text = fig.render();
-        assert!(text.contains("geomean"));
-        let geo = fig.geomeans();
-        assert!((geo[0] - 2.0).abs() < 1e-9);
-        assert!((geo[1] - 4.0).abs() < 1e-9);
-    }
 
     #[test]
     fn table1_mentions_the_core_count() {
@@ -674,7 +310,8 @@ mod tests {
     #[test]
     fn tiny_figure_3_subset_runs() {
         // A smoke test over two workloads so the full harness logic (shared
-        // baseline, normalisation, geomean) is exercised quickly.
+        // baseline, normalisation, geomean) is exercised quickly, down to the
+        // text table `figure fig3` prints.
         let cfg = SystemConfig::small_test();
         let report = ExperimentSession::new()
             .title("smoke")
@@ -682,23 +319,20 @@ mod tests {
             .defenses([DefenseKind::MuonTrap])
             .config(cfg)
             .run();
-        let fig = Figure::from_report(&report);
-        assert_eq!(fig.rows.len(), 2);
-        assert!(fig
-            .rows
+        assert_eq!(report.workloads.len(), 2);
+        assert!(report
+            .cells
             .iter()
-            .all(|r| r.values[0] > 0.2 && r.values[0] < 5.0));
-        assert_eq!(fig.geomeans(), report.geomeans());
-    }
-
-    #[test]
-    fn one_run_cycles_performs_a_single_deterministic_simulation() {
-        let cfg = SystemConfig::small_test();
-        let w = &spec_suite(Scale::Tiny)[0];
-        let a = one_run_cycles(w, DefenseKind::MuonTrap, &cfg);
-        let b = one_run_cycles(w, DefenseKind::MuonTrap, &cfg);
-        assert!(a > 0);
-        assert_eq!(a, b);
+            .all(|c| c.normalized_time > 0.2 && c.normalized_time < 5.0));
+        let product: f64 = report.cells.iter().map(|c| c.normalized_time).product();
+        assert!((report.geomeans()[0] - product.sqrt()).abs() < 1e-9);
+        let text = render::figure_text("fig3", &report);
+        assert_eq!(text, report.render());
+        assert_eq!(text.lines().count(), 5, "title, header, two rows, geomean");
+        assert_eq!(
+            text.lines().last().unwrap(),
+            format!("{:<16}{:>24.3}", "geomean", report.geomeans()[0])
+        );
     }
 
     #[test]
@@ -729,7 +363,9 @@ mod tests {
 
     #[test]
     fn domain_switch_grid_runs_the_new_kernels_under_every_defense() {
-        let report = domain_switch_session(Scale::Tiny, &SystemConfig::small_test(), 2, None).run();
+        let report = figure_session("domain", Scale::Tiny, &SystemConfig::small_test(), 2, None)
+            .unwrap()
+            .run();
         assert_eq!(report.workloads, vec!["syscall-storm", "sandbox-hop"]);
         assert_eq!(report.columns.len(), DefenseKind::figure3_set().len());
         for cell in &report.cells {
@@ -761,11 +397,21 @@ mod tests {
             .defenses([DefenseKind::MuonTrap])
             .config(cfg)
             .run();
-        let rates = invalidate_rates(&report);
-        assert_eq!(rates.rows.len(), 2);
-        assert!(rates
-            .rows
-            .iter()
-            .all(|r| (0.0..=1.0).contains(&r.values[0])));
+        let text = render::figure_text("fig7", &report);
+        let rates: Vec<f64> = text
+            .lines()
+            .skip(2)
+            .take(2)
+            .map(|row| row.split_whitespace().last().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(rates.len(), 2);
+        assert!(rates.iter().all(|r| (0.0..=1.0).contains(r)));
+        for (cell, rate) in report.cells.iter().zip(&rates) {
+            let ratio = cell.stats.ratio(
+                "muontrap.store_upgrade_broadcasts",
+                "muontrap.committed_stores",
+            );
+            assert_eq!(format!("{rate:.3}"), format!("{ratio:.3}"));
+        }
     }
 }

@@ -10,14 +10,16 @@
 //! [`simsys::runner::merge_events`] (merged reports are bit-identical to
 //! local ones, so the rendered artefact is too).
 //!
-//! Entry points: [`figure_document`] (one figure → one page, the `--html`
-//! path of the figure binaries and `merge`) and [`evaluation_document`]
+//! Entry points: [`figure_text`] (one figure → the aligned text table
+//! `figure` prints), [`figure_document`] (one figure → one page, the
+//! `--html` path of `figure` and `merge`) and [`evaluation_document`]
 //! (every figure plus the domain-switch table → `report --html`'s
 //! `report.html`).
 
 use reportgen::report::{figure_chart, ChartKind, FigureMeta, Provenance};
 use reportgen::svg::fmt_value;
 use reportgen::{HtmlDocument, ReportFigure, SummaryTable};
+use simkit::stats::geometric_mean;
 use simsys::session::RunReport;
 use speclint::Census;
 
@@ -161,6 +163,42 @@ pub fn report_figure(name: &str, report: &RunReport, run_id: &str) -> Option<Rep
     })
 }
 
+/// The aligned text table `figure <name>` prints: [`RunReport::render`]'s
+/// normalised times, except for a counter-ratio figure (figure 7), whose
+/// one column is each workload's ratio of the two counters its registry
+/// entry names, followed by their geometric mean.
+pub fn figure_text(name: &str, report: &RunReport) -> String {
+    let Some(FigureMeta {
+        kind:
+            ChartKind::CounterRatioBars {
+                numerator,
+                denominator,
+            },
+        y_label,
+        ..
+    }) = figure_meta(name)
+    else {
+        return report.render();
+    };
+    let width = y_label.len().max(24);
+    let mut out = format!(
+        "== {} ==\n{:<16}{y_label:>width$}\n",
+        report.title, "workload"
+    );
+    let rates: Vec<f64> = (0..report.workloads.len())
+        .map(|w| report.cell(w, 0).stats.ratio(numerator, denominator))
+        .collect();
+    for (workload, rate) in report.workloads.iter().zip(&rates) {
+        out.push_str(&format!("{workload:<16}{rate:>width$.3}\n"));
+    }
+    out.push_str(&format!(
+        "{:<16}{:>width$.3}\n",
+        "geomean",
+        geometric_mean(&rates)
+    ));
+    out
+}
+
 /// The domain-switch summary table: one row per (kernel, defense) cell with
 /// its slowdown and the filter-cache flush counters that explain it.
 pub fn domain_switch_table(report: &RunReport) -> SummaryTable {
@@ -195,8 +233,8 @@ pub fn domain_switch_table(report: &RunReport) -> SummaryTable {
 }
 
 /// Renders a single figure as a complete self-contained HTML page (what
-/// `fig5 --html page.html` and `merge --html page.html` write). `None` for
-/// unregistered names.
+/// `figure fig5 --html page.html` and `merge --html page.html` write).
+/// `None` for unregistered names.
 pub fn figure_document(name: &str, report: &RunReport, run_id: &str) -> Option<String> {
     let figure = report_figure(name, report, run_id)?;
     let mut doc = HtmlDocument::new(report.title.clone());

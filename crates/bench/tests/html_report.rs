@@ -132,8 +132,9 @@ fn merge_html_reproduces_the_direct_figure_artefact() {
     // A direct run of one figure (the small Parsec-like grid), streaming
     // its event log.
     run_ok(
-        env!("CARGO_BIN_EXE_fig4"),
+        env!("CARGO_BIN_EXE_figure"),
         &[
+            "fig4",
             "--scale",
             "tiny",
             "--store",

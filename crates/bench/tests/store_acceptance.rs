@@ -2,7 +2,7 @@
 //!
 //! * regenerating a figure against a warm store performs **zero**
 //!   simulations and reproduces every cell exactly,
-//! * the `fig3` binary's `--store` flag round-trips the same guarantee
+//! * `figure fig3`'s `--store` flag round-trips the same guarantee
 //!   across two separate processes,
 //! * `--no-store` really disables persistence.
 
@@ -24,6 +24,13 @@ fn temp_dir(tag: &str) -> PathBuf {
         "muontrap-bench-store-{tag}-{}-{nanos}",
         std::process::id()
     ))
+}
+
+/// Runs the registered figure `name` at tiny scale.
+fn figure(name: &str, config: &SystemConfig, store: &ResultStore) -> RunReport {
+    bench::figure_session(name, Scale::Tiny, config, 2, Some(store))
+        .expect("registered figure")
+        .run()
 }
 
 /// The payload of a cell minus its store provenance, for cold/warm equality.
@@ -49,13 +56,13 @@ fn warm_store_figure_regeneration_runs_zero_simulations() {
     let config = SystemConfig::small_test();
     let store = ResultStore::open(&dir).expect("store opens");
 
-    let cold = bench::figure3(Scale::Tiny, &config, 2, Some(&store));
+    let cold = figure("fig3", &config, &store);
     assert!(cold.sims_executed > 0);
     assert_eq!(cold.cached_cells(), 0);
     // Everything the grid paid for is now on disk.
     assert_eq!(store.len(), cold.sims_executed);
 
-    let warm = bench::figure3(Scale::Tiny, &config, 2, Some(&store));
+    let warm = figure("fig3", &config, &store);
     assert_eq!(
         warm.sims_executed, 0,
         "second figure3 against a warm store must not simulate"
@@ -78,9 +85,9 @@ fn sweep_figures_share_baseline_entries_through_the_store() {
     // Figure 5 sweeps filter-cache sizes; its baselines are canonicalised, so
     // figure 6 (associativity sweep, same workloads, same canonical baseline
     // machine) must reuse them from the store and only pay for its own cells.
-    let fig5 = bench::figure5(Scale::Tiny, &config, 2, Some(&store));
+    let fig5 = figure("fig5", &config, &store);
     assert!(fig5.baseline_sims > 0);
-    let fig6 = bench::figure6(Scale::Tiny, &config, 2, Some(&store));
+    let fig6 = figure("fig6", &config, &store);
     assert_eq!(
         fig6.baseline_sims, 0,
         "figure 6 baselines must come from figure 5's store entries"
@@ -107,14 +114,17 @@ fn sweep_figures_share_baseline_entries_through_the_store() {
 fn fig3_binary_store_flag_survives_across_processes() {
     let dir = temp_dir("binary");
     let run = |extra: &[&str]| -> RunReport {
-        let mut args = vec!["--json", "--scale", "tiny", "--threads", "2"];
+        let mut args = vec!["fig3", "--json", "--scale", "tiny", "--threads", "2"];
         args.extend_from_slice(extra);
-        let output = Command::new(env!("CARGO_BIN_EXE_fig3"))
+        let output = Command::new(env!("CARGO_BIN_EXE_figure"))
             .args(&args)
             .output()
-            .expect("fig3 binary runs");
-        assert!(output.status.success(), "fig3 {args:?} failed: {output:?}");
-        let stdout = String::from_utf8(output.stdout).expect("fig3 emits UTF-8");
+            .expect("figure binary runs");
+        assert!(
+            output.status.success(),
+            "figure {args:?} failed: {output:?}"
+        );
+        let stdout = String::from_utf8(output.stdout).expect("figure emits UTF-8");
         RunReport::from_json(&json::parse(&stdout).expect("valid JSON")).expect("a RunReport")
     };
 

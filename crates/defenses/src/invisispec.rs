@@ -8,7 +8,7 @@
 //! not participate in coherence — may need to validate or reload the data,
 //! which can delay the end of the pipeline.
 //!
-//! Fidelity note (also recorded in DESIGN.md): the original design exposes
+//! Fidelity note: the original design exposes
 //! loads as soon as their visibility condition holds (for the Spectre variant,
 //! once no older unresolved branch remains; for the Future variant, once the
 //! load cannot be squashed). Our core notifies memory models of safety only at

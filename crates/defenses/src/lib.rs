@@ -11,7 +11,8 @@
 //! * [`Unprotected`] — the insecure baseline all figures are normalised to,
 //! * [`InvisiSpec`] — speculative loads go to an invisible per-core buffer and
 //!   the cache is only updated by an exposure/validation access once the load
-//!   is safe (modelled at commit; see DESIGN.md for the fidelity discussion),
+//!   is safe (modelled at commit; the fidelity note in [`invisispec`] says
+//!   why and how the two variants still differ),
 //! * [`Stt`] — speculative loads may execute, but *transmitters* (loads whose
 //!   address depends on an unsafe speculative load's value) are blocked until
 //!   the source becomes safe,
@@ -33,7 +34,7 @@
 //! [`DefenseKind::build`] instantiates any configuration that appears in the
 //! paper's figures; the [`DefenseRegistry`] owns the label ⇄ kind mapping
 //! used by CLI flags and reports, and `FromStr`/`Display` on [`DefenseKind`]
-//! let the figure binaries accept defense names on the command line.
+//! let the binaries accept defense names on the command line.
 //! [`build_defense`] is kept as a thin compatibility wrapper.
 
 #![forbid(unsafe_code)]

@@ -13,9 +13,12 @@
 //! * per-core invalidation queues so external structures (filter caches) can
 //!   observe exclusive upgrades performed by other cores.
 //!
-//! The model mutates cache state immediately at access time and returns a
-//! latency, rather than exchanging timed coherence messages. DESIGN.md §3
-//! discusses this fidelity trade-off.
+//! Fidelity note: the model mutates cache state immediately at access time
+//! and returns a latency, rather than exchanging timed coherence messages.
+//! Every coherence transaction therefore completes atomically, with no
+//! transient MESI states, message races or interconnect contention; only
+//! its latency is charged. The defenses compare policies on this one
+//! substrate, so the simplification applies to all of them alike.
 
 use simkit::addr::LineAddr;
 use simkit::config::SystemConfig;

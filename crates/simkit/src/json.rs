@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON layer.
 //!
 //! The experiment session serialises [`RunReport`](../../simsys) structures to
-//! JSON for the `--json` figure binaries. This workspace builds with no
+//! JSON for the binaries' `--json` output. This workspace builds with no
 //! registry access, so `serde`/`serde_json` cannot be used; this module is the
 //! gated replacement: a [`Json`] value tree, a strict recursive-descent
 //! parser, a writer, and the [`ToJson`]/[`FromJson`] conversion traits the

@@ -688,8 +688,8 @@ impl RunReport {
             .collect()
     }
 
-    /// Renders the report as an aligned text table (what the figure binaries
-    /// print without `--json`).
+    /// Renders the report as an aligned text table (what `figure <name>`
+    /// prints without `--json`).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} ==\n", self.title));

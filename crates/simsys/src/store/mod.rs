@@ -39,7 +39,7 @@
 //! a small JSON document carrying its own fingerprint (verified on read).
 //! Writes go to a unique temp file in the destination directory followed by
 //! an atomic rename, so concurrent writers — the session's thread pool, or
-//! several figure binaries sharing one store — can never expose a partial
+//! several `figure` processes sharing one store — can never expose a partial
 //! entry. Unreadable, unparseable or mislabelled entries are treated as
 //! misses and re-simulated; a corrupt store degrades to a slow one, never a
 //! wrong one.

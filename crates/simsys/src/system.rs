@@ -277,14 +277,6 @@ impl System {
         }
     }
 
-    /// Advances the machine by exactly one cycle, ticking every running core
-    /// (no event skipping). External single-steppers get naive-loop
-    /// semantics; [`run`](Self::run) uses the event-driven `step` internally.
-    pub fn tick(&mut self) {
-        self.process_cycle(true);
-        self.now += 1;
-    }
-
     /// Number of `(core, cycle)` pipeline ticks performed so far. The naive
     /// loop performs one per running core per cycle; the event-driven loop
     /// skips the quiescent ones, so `cycles × cores / events` measures how

@@ -1,5 +1,5 @@
 //! A single evaluation figure rendered end-to-end into a self-contained
-//! HTML page — the `--html` path of the figure binaries, driven in code.
+//! HTML page — the `--html` path of the `figure` binary, driven in code.
 //!
 //! ```text
 //! cargo run --release --example html_report

@@ -6,7 +6,7 @@
 //! cargo run --release --example warm_store
 //! ```
 //!
-//! The same mechanism backs every figure binary via `--store DIR` (or the
+//! The same mechanism backs the `figure` binary via `--store DIR` (or the
 //! `MUONTRAP_STORE` environment variable), so regenerating the paper's
 //! evaluation after a code change only re-simulates what the change actually
 //! invalidated — the store keys on workload code, machine/defense
@@ -82,5 +82,5 @@ fn main() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
-    println!("\n(The figure binaries share this: `fig3 --store DIR`, run twice.)");
+    println!("\n(The `figure` binary shares this: `figure fig3 --store DIR`, run twice.)");
 }

@@ -50,7 +50,7 @@
 //! let slowdown = report.cell(0, 0).normalized_time; // MuonTrap, 1.0 = free
 //! assert!(slowdown > 0.5 && slowdown < 2.0);
 //!
-//! // Machine-readable output for harnesses (also: `fig3 --json` etc.).
+//! // Machine-readable output for harnesses (also: `figure fig3 --json` etc.).
 //! let json = report.to_json().to_string_compact();
 //! assert!(json.contains("\"baseline_sims\":2"));
 //! ```
@@ -58,7 +58,7 @@
 //! # Persistent result store
 //!
 //! Backing a session with [`simsys::store::ResultStore`] (via
-//! `with_store(path)`, or `--store DIR` on every figure binary) persists each
+//! `with_store(path)`, or `--store DIR` on the `figure` binary) persists each
 //! raw simulation content-addressed on a fingerprint of its inputs. A re-run
 //! of an unchanged grid performs **zero** simulations — check
 //! `RunReport::sims_executed` and the per-cell `cached` flags:

@@ -1,6 +1,6 @@
 //! Cross-crate performance integration tests: sanity-check the *shape* of the
 //! headline results on a reduced scale. These are not the paper's numbers
-//! (the figure binaries in the `bench` crate regenerate those); they guard
+//! (the `figure` binary in the `bench` crate regenerates those); they guard
 //! against regressions that would flip the qualitative conclusions.
 //!
 //! All grids run through [`ExperimentSession`], so baselines are shared and
