@@ -28,6 +28,10 @@
 //! * **in-flight load/store counters** and ordered sequence queues of stores
 //!   and unresolved branches replace the per-cycle `rob.iter().filter()`
 //!   scans of the fetch, disambiguation and speculation-visibility paths;
+//! * issue is **wakeup/select**: bitsets of waiting, ready, parked and
+//!   serialising entries plus producer→consumer and store→load wakeup lists
+//!   (`IssueSelect`) let the issue stage visit only its candidates instead
+//!   of every ROB entry;
 //! * a tick that did no work reports itself [`quiescent`](OooCore::quiescent)
 //!   and can name the [`next_wake`](OooCore::next_wake) cycle, which lets the
 //!   driving loop **fast-forward over idle cycles** (crediting them via
@@ -71,13 +75,32 @@ enum Status {
     Waiting,
     /// Executing; the result is available at the contained cycle.
     Executing(Cycle),
+    /// A memory access the memory model asked to retry once
+    /// non-speculative: the issue stage re-polls it every cycle.
+    Parked,
     /// Finished executing.
     Done,
 }
 
+/// What one [`OooCore::try_issue_at`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// The entry started (or finished) executing, or a parked entry
+    /// re-polled the memory model.
+    Issued,
+    /// Nothing changed; the entry may succeed on a later cycle.
+    Refused,
+    /// An atomic or serialising entry past the ROB head: nothing changed,
+    /// and nothing will until it heads the ROB.
+    AwaitHead,
+    /// A load behind the older store with this sequence number, whose
+    /// address is still unknown: nothing changed, and nothing will until
+    /// that store computes its address.
+    AwaitStore(u64),
+}
+
 /// One reorder-buffer entry.
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // `predicted_taken` is kept for debugging and future recovery logic
 struct RobEntry {
     seq: u64,
     pc: usize,
@@ -96,14 +119,8 @@ struct RobEntry {
     mem_addr: Option<VirtAddr>,
     /// Value to be stored (for stores/atomics), captured at execute.
     store_data: Option<u64>,
-    /// The memory model asked for this access to be retried later.
-    mem_retry: bool,
-    /// Whether the load's value was forwarded from an older in-flight store.
-    forwarded: bool,
     /// Fetch-time prediction: the instruction index fetched after this one.
     predicted_next: usize,
-    /// Fetch-time direction prediction for conditional branches.
-    predicted_taken: bool,
     /// Resolved actual next PC (valid once `Done` for control flow).
     actual_next: usize,
 }
@@ -127,6 +144,299 @@ impl RobEntry {
 
     fn is_branch(&self) -> bool {
         self.inst.class().is_control()
+    }
+}
+
+/// End of an intrusive list (a consumer or a store-waiter list).
+const NIL: u32 = u32::MAX;
+
+/// A bitset over the issue-select ring slots.
+#[derive(Debug, Clone)]
+struct SlotBits(Box<[u64]>);
+
+impl SlotBits {
+    fn new(slots: usize) -> Self {
+        SlotBits(vec![0; slots / 64].into_boxed_slice())
+    }
+
+    fn insert(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.0[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.0[slot / 64] >> (slot % 64) & 1 != 0
+    }
+}
+
+/// The `n`-th (0-based) sequence number in `from..end`, in sequence order,
+/// whose ring slot (`seq & mask`) is set in the bitset whose word `w` is
+/// `word(w)`. `end - from` must not exceed the ring size (`mask + 1`, a
+/// multiple of 64, so the ring wraps at a word boundary).
+fn nth_set(
+    mask: u64,
+    from: u64,
+    end: u64,
+    mut n: usize,
+    word: impl Fn(usize) -> u64,
+) -> Option<u64> {
+    let mut seq = from;
+    while seq < end {
+        let slot = (seq & mask) as usize;
+        let offset = slot % 64;
+        let span = (64 - offset as u64).min(end - seq);
+        let mut bits = word(slot / 64) >> offset;
+        if span < 64 {
+            bits &= (1 << span) - 1;
+        }
+        let ones = bits.count_ones() as usize;
+        if n < ones {
+            for _ in 0..n {
+                bits &= bits - 1;
+            }
+            return Some(seq + u64::from(bits.trailing_zeros()));
+        }
+        n -= ones;
+        seq += span;
+    }
+    None
+}
+
+/// Wakeup/select state of the issue stage: which ROB entries are issue
+/// candidates, maintained incrementally so that selecting costs
+/// O(candidates) per tick instead of a walk over the whole ROB.
+///
+/// An entry lives in ring slot `seq & mask`. The ROB is contiguous in
+/// sequence numbers and never longer than the ring, so live entries never
+/// share a slot. Invariants (checked after every tick in the unit tests):
+///
+/// * `waiting` holds exactly the `Status::Waiting` entries;
+/// * `pending` of a Waiting entry counts its source operands whose linked
+///   producer is in flight and not yet `Done`; every other slot holds 0;
+/// * `ready` holds the Waiting entries with nothing left to wait for: no
+///   pending operand, and no known refusal that only a later event lifts.
+///   Those refused entries sit in `head_wait` (an atomic past the head,
+///   until it heads the ROB) or on the `store_waiters` list of the older
+///   store whose unknown address stopped a load;
+/// * `parked` holds exactly the `Status::Parked` entries;
+/// * `barrier` holds the unfinished serialising entries;
+/// * the consumer list of an unfinished producer holds one node per pending
+///   (consumer, source operand) link on it, youngest consumer first; every
+///   other list is empty.
+#[derive(Debug, Clone)]
+struct IssueSelect {
+    mask: u64,
+    waiting: SlotBits,
+    ready: SlotBits,
+    parked: SlotBits,
+    barrier: SlotBits,
+    head_wait: SlotBits,
+    pending: Box<[u8]>,
+    /// Per producer slot, the first node of its consumer list ([`NIL`] when
+    /// empty). Node `consumer_slot * 2 + source` stands for the consumer's
+    /// link through source operand `source`, so the lists never allocate.
+    consumers: Box<[u32]>,
+    /// Per store slot, the first node of the list of loads waiting for the
+    /// store's address. A waiting load has no pending operand, so its
+    /// source-0 node (`load_slot * 2`) is free to stand for it.
+    store_waiters: Box<[u32]>,
+    /// Per node, the next node of its list.
+    next_node: Box<[u32]>,
+}
+
+impl IssueSelect {
+    fn new(rob_entries: usize) -> Self {
+        let slots = rob_entries.next_power_of_two().max(64);
+        IssueSelect {
+            mask: slots as u64 - 1,
+            waiting: SlotBits::new(slots),
+            ready: SlotBits::new(slots),
+            parked: SlotBits::new(slots),
+            barrier: SlotBits::new(slots),
+            head_wait: SlotBits::new(slots),
+            pending: vec![0; slots].into_boxed_slice(),
+            consumers: vec![NIL; slots].into_boxed_slice(),
+            store_waiters: vec![NIL; slots].into_boxed_slice(),
+            next_node: vec![NIL; slots * 2].into_boxed_slice(),
+        }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// Forgets every entry (the ROB was emptied).
+    fn clear(&mut self) {
+        for bits in [
+            &mut self.waiting,
+            &mut self.ready,
+            &mut self.parked,
+            &mut self.barrier,
+            &mut self.head_wait,
+        ] {
+            bits.0.fill(0);
+        }
+        self.pending.fill(0);
+        self.consumers.fill(NIL);
+        self.store_waiters.fill(NIL);
+    }
+
+    /// Registers the newly dispatched entry `seq`. `blockers[source]` names
+    /// the unfinished in-flight producer of that source operand, if any;
+    /// the entry is linked onto each one's consumer list.
+    fn dispatch(&mut self, seq: u64, blockers: [Option<u64>; 2], serialising: bool) {
+        let slot = self.slot(seq);
+        let mut pending = 0;
+        for (source, producer) in blockers.iter().enumerate() {
+            if let Some(producer) = *producer {
+                let node = slot * 2 + source;
+                let producer_slot = self.slot(producer);
+                self.next_node[node] = self.consumers[producer_slot];
+                self.consumers[producer_slot] = node as u32;
+                pending += 1;
+            }
+        }
+        self.pending[slot] = pending;
+        self.waiting.insert(slot);
+        if pending == 0 {
+            self.ready.insert(slot);
+        }
+        if serialising {
+            self.barrier.insert(slot);
+        }
+    }
+
+    /// Entry `seq` reached `Done`: it no longer blocks as a barrier, and each
+    /// linked consumer has one operand fewer pending.
+    fn finish(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        self.barrier.remove(slot);
+        let mut node = std::mem::replace(&mut self.consumers[slot], NIL);
+        while node != NIL {
+            let consumer = node as usize / 2;
+            debug_assert!(self.pending[consumer] > 0, "pending-count underflow");
+            self.pending[consumer] -= 1;
+            if self.pending[consumer] == 0 {
+                self.ready.insert(consumer);
+            }
+            node = self.next_node[node as usize];
+        }
+    }
+
+    /// The Waiting entry `seq` issued; `parked` if the memory model parked
+    /// its access for a retry.
+    fn issue(&mut self, seq: u64, parked: bool) {
+        let slot = self.slot(seq);
+        self.waiting.remove(slot);
+        self.ready.remove(slot);
+        if parked {
+            self.parked.insert(slot);
+        }
+    }
+
+    /// The parked entry `seq`'s retry went through.
+    fn unpark(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        self.parked.remove(slot);
+    }
+
+    /// The ready entry `seq` cannot issue before it heads the ROB.
+    fn await_head(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        self.ready.remove(slot);
+        self.head_wait.insert(slot);
+    }
+
+    /// Entry `head` now heads the ROB.
+    fn reached_head(&mut self, head: u64) {
+        let slot = self.slot(head);
+        if self.head_wait.contains(slot) {
+            self.head_wait.remove(slot);
+            self.ready.insert(slot);
+        }
+    }
+
+    /// The ready load `seq` cannot issue before the older store `store`
+    /// computes its address.
+    fn await_store(&mut self, seq: u64, store: u64) {
+        let slot = self.slot(seq);
+        let store_slot = self.slot(store);
+        self.ready.remove(slot);
+        self.next_node[slot * 2] = self.store_waiters[store_slot];
+        self.store_waiters[store_slot] = (slot * 2) as u32;
+    }
+
+    /// Store `seq` computed its address: the loads waiting for it are ready.
+    fn store_resolved(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        let mut node = std::mem::replace(&mut self.store_waiters[slot], NIL);
+        while node != NIL {
+            self.ready.insert(node as usize / 2);
+            node = self.next_node[node as usize];
+        }
+    }
+
+    /// Squashes the entries `kept_tail + 1 .. end` of the ROB that starts at
+    /// `head`. Their slots are cleared, and their nodes are unlinked from the
+    /// survivors' lists; leaving them would wake the reclaimed sequence
+    /// numbers twice. On a consumer list they sit at the front, since
+    /// consumers are pushed in sequence order.
+    fn squash(&mut self, head: u64, kept_tail: u64, end: u64) {
+        for seq in kept_tail + 1..end {
+            let slot = self.slot(seq);
+            self.waiting.remove(slot);
+            self.ready.remove(slot);
+            self.parked.remove(slot);
+            self.barrier.remove(slot);
+            self.head_wait.remove(slot);
+            self.pending[slot] = 0;
+            self.consumers[slot] = NIL;
+            self.store_waiters[slot] = NIL;
+        }
+        let (head_slot, mask) = (self.slot(head) as u64, self.mask);
+        let squashed =
+            |node: u32| head + ((u64::from(node) / 2).wrapping_sub(head_slot) & mask) > kept_tail;
+        for producer in head..=kept_tail {
+            let slot = self.slot(producer);
+            while self.consumers[slot] != NIL && squashed(self.consumers[slot]) {
+                self.consumers[slot] = self.next_node[self.consumers[slot] as usize];
+            }
+            // Loads join a store's waiters as they are refused, not in
+            // sequence order, so the squashed ones may sit anywhere.
+            let mut prev = NIL;
+            let mut node = self.store_waiters[slot];
+            while node != NIL {
+                let next = self.next_node[node as usize];
+                if !squashed(node) {
+                    prev = node;
+                } else if prev == NIL {
+                    self.store_waiters[slot] = next;
+                } else {
+                    self.next_node[prev as usize] = next;
+                }
+                node = next;
+            }
+        }
+    }
+
+    /// The `n`-th (0-based) Waiting entry in `from..end`.
+    fn nth_waiting(&self, from: u64, end: u64, n: usize) -> Option<u64> {
+        nth_set(self.mask, from, end, n, |w| self.waiting.0[w])
+    }
+
+    /// The oldest unfinished serialising entry in `from..end`.
+    fn next_barrier(&self, from: u64, end: u64) -> Option<u64> {
+        nth_set(self.mask, from, end, 0, |w| self.barrier.0[w])
+    }
+
+    /// The oldest issue candidate — ready or parked — in `from..end`.
+    fn next_candidate(&self, from: u64, end: u64) -> Option<u64> {
+        nth_set(self.mask, from, end, 0, |w| {
+            self.ready.0[w] | self.parked.0[w]
+        })
     }
 }
 
@@ -232,25 +542,10 @@ pub struct OooCore {
     /// [`next_wake`](Self::next_wake) is the heap minimum. Squashes leave
     /// stale tickets behind; they are validated (and discarded) on pop.
     completion_q: EventQueue<u64>,
-    /// Entries currently in `Status::Waiting` (operands/FU pending).
-    waiting_count: usize,
-    /// Entries parked by a memory-model retry (`mem_retry`, executing at
-    /// `Cycle::NEVER`), re-polled by the issue stage each cycle.
-    retry_count: usize,
     /// Reusable scratch of due sequence numbers for the complete stage.
     due_scratch: Vec<u64>,
-    /// Memo of the last fruitless issue scan. While valid, every `Waiting`
-    /// entry with seq below `scan_floor_seq` was seen un-issuable and nothing
-    /// that could change that has happened since, so the next scan resumes at
-    /// the floor with the window counter primed to `scan_floor_rank` (the
-    /// number of Waiting entries below the floor). Fetch keeps the memo —
-    /// new entries land past the floor and get scanned; any commit,
-    /// completion, squash or issue invalidates it. This turns the common
-    /// "fetching while the ROB head waits on DRAM" cycles from a full
-    /// window scan into a scan of just the newly fetched entries.
-    scan_memo_valid: bool,
-    scan_floor_seq: u64,
-    scan_floor_rank: usize,
+    /// Wakeup/select state of the issue stage (see [`IssueSelect`]).
+    select: IssueSelect,
     // Reusable scratch for the taint walk (STT support) — allocated once.
     taint_stack: Vec<usize>,
     taint_visited: Vec<bool>,
@@ -282,12 +577,8 @@ impl OooCore {
             branch_seqs: VecDeque::new(),
             tick_active: false,
             completion_q: EventQueue::new(),
-            waiting_count: 0,
-            retry_count: 0,
             due_scratch: Vec::new(),
-            scan_memo_valid: false,
-            scan_floor_seq: 0,
-            scan_floor_rank: 0,
+            select: IssueSelect::new(config.pipeline.rob_entries),
             taint_stack: Vec::new(),
             taint_visited: Vec::new(),
         }
@@ -338,11 +629,7 @@ impl OooCore {
         self.store_seqs.clear();
         self.branch_seqs.clear();
         self.completion_q.clear();
-        self.waiting_count = 0;
-        self.retry_count = 0;
-        self.scan_memo_valid = false;
-        self.scan_floor_seq = 0;
-        self.scan_floor_rank = 0;
+        self.select.clear();
         self.last_fetch_line = None;
         let old = self.thread.take();
         self.thread = new_thread;
@@ -418,6 +705,8 @@ impl OooCore {
         let issue_active = self.issue_stage(now, mem);
         let fetch_active = self.fetch_stage(now, mem);
         self.tick_active = commit_active || complete_active || issue_active || fetch_active;
+        #[cfg(test)]
+        self.assert_select_invariants();
     }
 
     /// Whether the last [`tick`](Self::tick) performed no pipeline work at
@@ -484,13 +773,11 @@ impl OooCore {
                 break;
             }
         }
+        self.select.reached_head(self.head_seq());
     }
 
     /// Updates the incremental structures for a popped (committed) entry.
     fn retire_bookkeeping(&mut self, entry: &RobEntry) {
-        // Commit shifts the ROB and can unblock issue (register fallback,
-        // head-only instructions): the fruitless-scan memo no longer holds.
-        self.scan_memo_valid = false;
         if entry.is_load() {
             self.loads_in_flight -= 1;
         }
@@ -630,15 +917,11 @@ impl OooCore {
         due.dedup();
         let mut squash_after: Option<(usize, usize)> = None; // (rob index, redirect pc)
         let mut transitions = false;
-        if !due.is_empty() {
-            // Done transitions wake dependants: the fruitless-scan memo no
-            // longer holds.
-            self.scan_memo_valid = false;
-        }
         for &seq in due.iter() {
             let idx = (seq - head) as usize;
             transitions = true;
             self.rob[idx].status = Status::Done;
+            self.select.finish(seq);
             if idx == self.done_prefix {
                 // Extend the done prefix over this entry and any previously
                 // finished entries it unblocks.
@@ -697,7 +980,6 @@ impl OooCore {
         now: Cycle,
         mem: &mut dyn MemoryModel,
     ) {
-        self.scan_memo_valid = false;
         let removed = self.rob.len().saturating_sub(idx + 1);
         if removed > 0 {
             for e in self.rob.iter().skip(idx + 1) {
@@ -711,20 +993,15 @@ impl OooCore {
                 if e.is_store() {
                     self.stores_in_flight -= 1;
                 }
-                // Completion tickets of removed entries go stale in the heap
-                // (validated away on pop); the issue-candidate counts must be
-                // maintained eagerly.
-                match e.status {
-                    Status::Waiting => self.waiting_count -= 1,
-                    Status::Executing(t) if t == Cycle::NEVER && e.mem_retry => {
-                        self.retry_count -= 1
-                    }
-                    _ => {}
-                }
             }
+            // Completion tickets of removed entries go stale in the heap
+            // (validated away on pop); the issue-select state is maintained
+            // eagerly.
+            let head = self.head_seq();
+            let max_kept_seq = head + idx as u64;
+            self.select.squash(head, max_kept_seq, self.next_seq);
             self.rob.truncate(idx + 1);
             self.done_prefix = self.done_prefix.min(idx + 1);
-            let max_kept_seq = self.head_seq() + idx as u64;
             // Reclaim the squashed sequence numbers so `rob[i].seq ==
             // head_seq + i` stays true for entries dispatched down the
             // corrected path (the O(1) producer links depend on it).
@@ -758,105 +1035,89 @@ impl OooCore {
     /// Attempts to start execution of ready instructions. Returns whether any
     /// instruction issued or any parked memory access re-polled the memory
     /// model (both make the cycle non-quiescent).
+    ///
+    /// Wakeup/select: only the issue candidates — `Waiting` entries whose
+    /// operands are all available, and parked memory retries — are visited,
+    /// oldest first. An operand-blocked entry would refuse to issue without
+    /// any side effect, and a finished or executing one is no candidate, so
+    /// skipping them is invisible. So is skipping an entry whose refusal
+    /// only a later event lifts (an atomic past the head, a load behind an
+    /// older store with an unknown address): it returns to the candidates
+    /// the moment that event happens, before the walk would reach it.
     fn issue_stage(&mut self, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
-        // Issue candidates are the Waiting entries plus the parked memory
-        // retries; everything else in the ROB is just scanned past. The
-        // eagerly-maintained counts let the loop stop at the last candidate
-        // (and skip the stage entirely on a fully-stalled ROB).
-        let mut remaining = self.waiting_count + self.retry_count;
-        if remaining == 0 {
-            return false;
-        }
         let head = self.head_seq();
+        let mut limit = head + self.rob.len() as u64;
+        // The instruction window: only the first `iq_entries` Waiting entries
+        // (operand-blocked ones included) are candidates, and nothing younger
+        // than the window — a parked retry included — is visited.
+        if let Some(seq) = self
+            .select
+            .nth_waiting(head, limit, self.pipeline.iq_entries)
+        {
+            limit = seq;
+        }
+        // An unfinished serialising instruction past the head blocks every
+        // younger instruction. It can itself execute only at the ROB head,
+        // where it is a candidate like any other.
+        if let Some(seq) = self.select.next_barrier(head + 1, limit) {
+            limit = seq;
+        }
+
         let mut issued = 0usize;
         let mut attempts = 0usize;
         let mut int_used = 0usize;
         let mut fp_used = 0usize;
         let mut muldiv_used = 0usize;
         let mut mem_ports_used = 0usize;
-        // The instruction window: only the first `iq_entries` waiting entries
-        // are candidates for issue.
-        let mut window_seen = 0usize;
-        // Resume past the memoized fruitless-scan floor: the skipped prefix
-        // holds only un-issuable Waiting entries (counted into the window)
-        // and non-candidates, and a scan over them has no side effects at
-        // all, so skipping it is invisible. A parked retry must be re-polled
-        // every cycle, but a retry can only appear through an issue, which
-        // invalidates the memo — valid memo implies no retries.
-        let start_idx = if self.scan_memo_valid {
-            debug_assert_eq!(self.retry_count, 0);
-            debug_assert!(self.scan_floor_seq >= head);
-            window_seen = self.scan_floor_rank;
-            remaining -= self.scan_floor_rank;
-            if remaining == 0 {
-                return false;
-            }
-            (self.scan_floor_seq - head) as usize
-        } else {
-            0
-        };
-        // Where scanning ceased, for the memo: `(index, waiting entries
-        // strictly below it)`. `None` means the loop ran off the ROB tail.
-        let mut stop: Option<(usize, usize)> = None;
-
-        for idx in start_idx..self.rob.len() {
-            if issued >= self.pipeline.width || remaining == 0 {
-                stop = Some((idx, window_seen));
+        let mut from = head;
+        while issued < self.pipeline.width {
+            let Some(seq) = self.select.next_candidate(from, limit) else {
                 break;
-            }
-            let status = self.rob[idx].status;
-            // Finished entries are scanned straight past: they hold no
-            // candidate and, being done, cannot be a serialising barrier.
-            if matches!(status, Status::Done) {
+            };
+            from = seq + 1;
+            let idx = (seq - head) as usize;
+            if self.entry_is_parked(idx) {
+                // A previously delayed memory access: retry it (the memory
+                // model re-evaluates its condition; at the head it is
+                // non-speculative and must succeed). The poll reaches the
+                // memory model, so a cycle with a parked retry is never
+                // quiescent.
+                attempts += 1;
+                if self.try_issue_at(idx, now, mem) == Attempt::Issued {
+                    issued += 1;
+                    mem_ports_used += 1;
+                    if !self.entry_is_parked(idx) {
+                        self.select.unpark(seq);
+                    }
+                }
                 continue;
             }
-
-            // An unfinished serialising instruction blocks younger
-            // instructions from issuing. It can itself execute only at the
-            // ROB head, where the Waiting branch below handles it like any
-            // other candidate; past the head it cannot issue at all
-            // (`try_issue_at` refuses before touching any state), so there
-            // is nothing to try here.
-            if idx > 0 && self.rob[idx].inst.is_serialising() {
-                stop = Some((idx, window_seen));
-                break;
+            // Functional unit availability.
+            let class = self.rob[idx].inst.class();
+            let fu_ok = match class {
+                InstClass::IntAlu
+                | InstClass::Branch
+                | InstClass::Jump
+                | InstClass::Call
+                | InstClass::Return
+                | InstClass::Nop
+                | InstClass::SandboxMarker
+                | InstClass::Syscall
+                | InstClass::Barrier
+                | InstClass::Halt => int_used < self.pipeline.int_alus,
+                InstClass::FpAlu => fp_used < self.pipeline.fp_alus,
+                InstClass::MulDiv => muldiv_used < self.pipeline.mul_div_units,
+                InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used < 4,
+            };
+            if !fu_ok {
+                continue;
             }
-
-            if matches!(status, Status::Waiting) {
-                remaining -= 1;
-                window_seen += 1;
-                if window_seen > self.pipeline.iq_entries {
-                    stop = Some((idx, window_seen - 1));
-                    break;
-                }
-                // Functional unit availability.
-                let class = self.rob[idx].inst.class();
-                let fu_ok = match class {
-                    InstClass::IntAlu
-                    | InstClass::Branch
-                    | InstClass::Jump
-                    | InstClass::Call
-                    | InstClass::Return
-                    | InstClass::Nop
-                    | InstClass::SandboxMarker
-                    | InstClass::Syscall
-                    | InstClass::Barrier
-                    | InstClass::Halt => int_used < self.pipeline.int_alus,
-                    InstClass::FpAlu => fp_used < self.pipeline.fp_alus,
-                    InstClass::MulDiv => muldiv_used < self.pipeline.mul_div_units,
-                    InstClass::Load | InstClass::Store | InstClass::Atomic => mem_ports_used < 4,
-                };
-                if !fu_ok {
-                    continue;
-                }
-                if self.try_issue_at(idx, now, mem) {
+            match self.try_issue_at(idx, now, mem) {
+                Attempt::Issued => {
                     issued += 1;
-                    self.waiting_count -= 1;
-                    if self.entry_is_parked(idx) {
-                        // The memory model parked the access for a later
-                        // retry: it left Waiting but remains a candidate.
-                        self.retry_count += 1;
-                    }
+                    // The memory model may park the access for a later
+                    // retry: it leaves Waiting but remains a candidate.
+                    self.select.issue(seq, self.entry_is_parked(idx));
                     match class {
                         InstClass::FpAlu => fp_used += 1,
                         InstClass::MulDiv => muldiv_used += 1,
@@ -866,46 +1127,19 @@ impl OooCore {
                         _ => int_used += 1,
                     }
                 }
-            } else if matches!(status, Status::Executing(_)) && self.rob[idx].mem_retry {
-                // A previously delayed memory access: retry it (the memory
-                // model re-evaluates its condition; at the head it is
-                // non-speculative and must succeed). The poll reaches the
-                // memory model, so a cycle with a parked retry is never
-                // quiescent.
-                remaining -= 1;
-                attempts += 1;
-                if self.try_issue_at(idx, now, mem) {
-                    issued += 1;
-                    mem_ports_used += 1;
-                    if !self.entry_is_parked(idx) {
-                        // Completed (or forwarded): no longer a retry poll.
-                        self.retry_count -= 1;
-                    }
-                }
+                Attempt::Refused => {}
+                // Refusals only a later event lifts: leave the candidates
+                // until it happens.
+                Attempt::AwaitHead => self.select.await_head(seq),
+                Attempt::AwaitStore(store) => self.select.await_store(seq, store),
             }
         }
-        let active = issued > 0 || attempts > 0;
-        if active {
-            // Something issued or polled: candidate state changed, so any
-            // previous fruitless-scan memo is dead.
-            self.scan_memo_valid = false;
-        } else {
-            // Nothing happened and nothing was perturbed: remember the scan
-            // frontier so the next scan (absent commits, completions or
-            // squashes) resumes there.
-            let (stop_idx, stop_rank) = stop.unwrap_or((self.rob.len(), window_seen));
-            self.scan_memo_valid = true;
-            self.scan_floor_seq = head + stop_idx as u64;
-            self.scan_floor_rank = stop_rank;
-        }
-        active
+        issued > 0 || attempts > 0
     }
 
-    /// Whether entry `idx` is parked waiting for a memory-model retry (it
-    /// "executes" at `Cycle::NEVER` until the retry succeeds).
+    /// Whether entry `idx` is parked waiting for a memory-model retry.
     fn entry_is_parked(&self, idx: usize) -> bool {
-        let e = &self.rob[idx];
-        e.mem_retry && matches!(e.status, Status::Executing(t) if t == Cycle::NEVER)
+        matches!(self.rob[idx].status, Status::Parked)
     }
 
     /// The value of source register `reg` as seen through its dispatch-time
@@ -932,21 +1166,21 @@ impl OooCore {
         Some(thread.regs.read(reg))
     }
 
-    /// Attempts to execute the entry at ROB index `idx`. Returns whether it
-    /// started (or completed) execution this cycle.
-    fn try_issue_at(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) -> bool {
+    /// Attempts to execute the entry at ROB index `idx`. Every refusal
+    /// happens before any state changes.
+    fn try_issue_at(&mut self, idx: usize, now: Cycle, mem: &mut dyn MemoryModel) -> Attempt {
         let inst = self.rob[idx].inst;
         let class = inst.class();
 
         // Serialising instructions and atomics execute only at the ROB head.
         if (inst.is_serialising() || matches!(class, InstClass::Atomic)) && idx != 0 {
-            return false;
+            return Attempt::AwaitHead;
         }
         // A cycle-counter read waits until every older instruction has
         // finished so it observes an accurate time (like lfence; rdtsc). The
         // done-prefix counter answers "are all older entries done?" in O(1).
         if matches!(inst, Instruction::ReadCycle { .. }) && self.done_prefix < idx {
-            return false;
+            return Attempt::Refused;
         }
 
         // Gather operand values through the dispatch-time producer links.
@@ -956,7 +1190,7 @@ impl OooCore {
         for slot in 0..num_sources {
             match self.operand_value(src_regs[slot], links[slot]) {
                 Some(v) => operands[slot] = v,
-                None => return false,
+                None => return Attempt::Refused,
             }
         }
         let operands = &operands[..num_sources];
@@ -967,7 +1201,7 @@ impl OooCore {
             }
             _ => {
                 self.issue_non_memory(idx, now, operands);
-                true
+                Attempt::Issued
             }
         }
     }
@@ -1014,7 +1248,7 @@ impl OooCore {
         now: Cycle,
         mem: &mut dyn MemoryModel,
         operands: &[u64],
-    ) -> bool {
+    ) -> Attempt {
         let inst = self.rob[idx].inst;
         // Compute the effective address and (for stores) the data value.
         let (addr, data) = match inst {
@@ -1045,7 +1279,7 @@ impl OooCore {
                 let store = &self.rob[(store_seq - head) as usize];
                 debug_assert!(store.is_store());
                 match store.mem_addr {
-                    None => return false, // unknown older store address: wait
+                    None => return Attempt::AwaitStore(store_seq),
                     Some(a) if a == addr => {
                         forwarded_value = store.store_data;
                         break;
@@ -1064,6 +1298,11 @@ impl OooCore {
         let speculative = idx != 0;
         let pc_vaddr = self.pc_addr(self.rob[idx].pc);
 
+        if self.rob[idx].is_store() {
+            // A store (or atomic) address becomes known: wake the loads
+            // that stopped at it.
+            self.select.store_resolved(self.rob[idx].seq);
+        }
         let entry = &mut self.rob[idx];
         entry.mem_addr = Some(addr);
         entry.store_data = data;
@@ -1090,7 +1329,7 @@ impl OooCore {
                 entry.actual_next = entry.pc + 1;
                 self.completion_q.push(done_at, seq);
                 mem.store_address_ready(&ctx);
-                true
+                Attempt::Issued
             }
             InstClass::Load | InstClass::Atomic => {
                 let pc_addr = pc_vaddr;
@@ -1099,13 +1338,12 @@ impl OooCore {
                     // Store-to-load forwarding: 1-cycle, no cache access.
                     let entry = &mut self.rob[idx];
                     entry.result = Some(value);
-                    entry.forwarded = true;
                     entry.actual_next = entry.pc + 1;
                     let done_at = now.saturating_add(1);
                     let seq = entry.seq;
                     entry.status = Status::Executing(done_at);
                     self.completion_q.push(done_at, seq);
-                    return true;
+                    return Attempt::Issued;
                 }
                 let ctx = MemAccessCtx {
                     core: self.core_id,
@@ -1130,7 +1368,6 @@ impl OooCore {
                         let entry = &mut self.rob[idx];
                         entry.result = Some(loaded);
                         entry.actual_next = entry.pc + 1;
-                        entry.mem_retry = false;
                         let done_at = now.saturating_add(latency.max(1));
                         let seq = entry.seq;
                         entry.status = Status::Executing(done_at);
@@ -1154,17 +1391,15 @@ impl OooCore {
                             let entry = &mut self.rob[idx];
                             entry.store_data = Some(new_value);
                         }
-                        true
+                        Attempt::Issued
                     }
                     MemOutcome::RetryWhenNonSpeculative => {
                         self.stats.mem_retries += 1;
+                        // Park the entry; the issue stage re-polls it.
                         let entry = &mut self.rob[idx];
-                        entry.mem_retry = true;
-                        // Park the entry; it stays "executing" far in the
-                        // future and is retried by the issue stage.
-                        entry.status = Status::Executing(Cycle::NEVER);
+                        entry.status = Status::Parked;
                         entry.actual_next = entry.pc + 1;
-                        true
+                        Attempt::Issued
                     }
                 }
             }
@@ -1324,42 +1559,48 @@ impl OooCore {
             // Branch prediction decides the next fetch PC.
             let pc = self.fetch_pc;
             let pc_vaddr = self.pc_addr(pc);
-            let (predicted_next, predicted_taken) = match inst {
+            let predicted_next = match inst {
                 Instruction::Branch { target, .. } => {
-                    let taken = self.predictor.predict_direction(pc_vaddr);
-                    (if taken { target } else { pc + 1 }, taken)
+                    if self.predictor.predict_direction(pc_vaddr) {
+                        target
+                    } else {
+                        pc + 1
+                    }
                 }
-                Instruction::Jump { target } => (target, true),
-                Instruction::JumpIndirect { .. } => {
-                    let target = self
-                        .predictor
-                        .predict_indirect_target(pc_vaddr)
-                        .unwrap_or(pc + 1);
-                    (target, true)
-                }
+                Instruction::Jump { target } => target,
+                Instruction::JumpIndirect { .. } => self
+                    .predictor
+                    .predict_indirect_target(pc_vaddr)
+                    .unwrap_or(pc + 1),
                 Instruction::Call { target, .. } => {
                     self.predictor.push_return(pc + 1);
-                    (target, true)
+                    target
                 }
-                Instruction::Return { .. } => {
-                    let target = self
-                        .predictor
-                        .predict_return()
-                        .or_else(|| self.predictor.predict_indirect_target(pc_vaddr))
-                        .unwrap_or(pc + 1);
-                    (target, true)
-                }
-                Instruction::Halt => (pc + 1, false),
-                _ => (pc + 1, false),
+                Instruction::Return { .. } => self
+                    .predictor
+                    .predict_return()
+                    .or_else(|| self.predictor.predict_indirect_target(pc_vaddr))
+                    .unwrap_or(pc + 1),
+                _ => pc + 1,
             };
 
-            // Capture the dispatch-time producer links from the scoreboard,
+            // Capture the dispatch-time producer links from the scoreboard
+            // (noting which producers are still unfinished, for wakeup),
             // then claim the destination register for this entry.
             let (src_regs, num_sources) = inst.source_regs();
+            let head = self.head_seq();
             let mut src_producers = [NO_PRODUCER; 2];
-            for slot in 0..num_sources {
-                if !src_regs[slot].is_zero() {
-                    src_producers[slot] = self.reg_producer[src_regs[slot].index()];
+            let mut blockers = [None; 2];
+            for src in 0..num_sources {
+                if !src_regs[src].is_zero() {
+                    let producer = self.reg_producer[src_regs[src].index()];
+                    src_producers[src] = producer;
+                    if producer != NO_PRODUCER
+                        && producer >= head
+                        && !self.rob[(producer - head) as usize].is_done()
+                    {
+                        blockers[src] = Some(producer);
+                    }
                 }
             }
 
@@ -1372,10 +1613,7 @@ impl OooCore {
                 src_producers,
                 mem_addr: None,
                 store_data: None,
-                mem_retry: false,
-                forwarded: false,
                 predicted_next,
-                predicted_taken,
                 actual_next: pc + 1,
             };
             if let Some(dest) = inst.dest() {
@@ -1391,9 +1629,10 @@ impl OooCore {
             if entry.is_branch() {
                 self.branch_seqs.push_back(entry.seq);
             }
+            self.select
+                .dispatch(entry.seq, blockers, inst.is_serialising());
             self.next_seq += 1;
             self.rob.push_back(entry);
-            self.waiting_count += 1;
             self.fetch_pc = predicted_next;
             active = true;
 
@@ -1410,6 +1649,143 @@ impl OooCore {
         match &self.thread {
             Some(t) => t.program.inst_addr(pc),
             None => VirtAddr::new(pc as u64 * INST_BYTES),
+        }
+    }
+
+    /// Recomputes the issue-select state from the ROB and asserts that the
+    /// incremental [`IssueSelect`] matches it: every bitset, every pending
+    /// count and every list (see the invariants listed there).
+    #[cfg(test)]
+    fn assert_select_invariants(&self) {
+        let sel = &self.select;
+        let head = self.head_seq();
+        let seq_of =
+            |slot: usize| head + (slot.wrapping_sub(sel.slot(head)) & sel.mask as usize) as u64;
+        let live = |slot: usize| seq_of(slot) < head + self.rob.len() as u64;
+        let entry = |seq: u64| &self.rob[(seq - head) as usize];
+        let walk = |mut node: u32| {
+            let mut nodes = Vec::new();
+            while node != NIL {
+                nodes.push(node as usize);
+                node = sel.next_node[node as usize];
+            }
+            nodes
+        };
+        // Loads waiting for a store's address: each waits on exactly one
+        // older, still address-less store.
+        let mut store_waiting = std::collections::HashSet::new();
+        for store in &self.rob {
+            for node in walk(sel.store_waiters[sel.slot(store.seq)]) {
+                let load = seq_of(node / 2);
+                assert_eq!(node % 2, 0, "store waiter {load} uses its source-0 node");
+                assert!(load > store.seq && live(node / 2), "store waiter {load}");
+                assert!(
+                    store.is_store() && store.mem_addr.is_none(),
+                    "store {}",
+                    store.seq
+                );
+                assert!(entry(load).is_load(), "store waiter {load} is a load");
+                assert!(
+                    store_waiting.insert(load),
+                    "load {load} waits on two stores"
+                );
+            }
+        }
+        // Expected consumer-list nodes per producer ROB index, in push order.
+        let mut expected_links: Vec<Vec<usize>> = vec![Vec::new(); self.rob.len()];
+        for (i, e) in self.rob.iter().enumerate() {
+            let slot = sel.slot(e.seq);
+            let is_waiting = matches!(e.status, Status::Waiting);
+            let (regs, sources) = e.inst.source_regs();
+            let mut blocked = 0;
+            let links = regs.iter().zip(e.src_producers).take(sources);
+            for (source, (&reg, producer_seq)) in links.enumerate() {
+                if self.operand_value(reg, producer_seq).is_none() {
+                    assert!(
+                        is_waiting,
+                        "seq {} issued with operand {source} unavailable",
+                        e.seq
+                    );
+                    blocked += 1;
+                    let producer = (producer_seq - head) as usize;
+                    expected_links[producer].push(slot * 2 + source);
+                }
+            }
+            let head_waiting = sel.head_wait.contains(slot);
+            if head_waiting {
+                assert!(
+                    i > 0 && is_waiting && blocked == 0,
+                    "head wait of seq {}",
+                    e.seq
+                );
+                assert!(matches!(e.inst.class(), InstClass::Atomic) || e.inst.is_serialising());
+            }
+            if store_waiting.contains(&e.seq) {
+                assert!(
+                    is_waiting && blocked == 0 && !head_waiting,
+                    "store wait of seq {}",
+                    e.seq
+                );
+            }
+            let ready =
+                is_waiting && blocked == 0 && !head_waiting && !store_waiting.contains(&e.seq);
+            assert_eq!(
+                sel.waiting.contains(slot),
+                is_waiting,
+                "waiting bit of seq {}",
+                e.seq
+            );
+            assert_eq!(
+                usize::from(sel.pending[slot]),
+                blocked,
+                "pending count of seq {}",
+                e.seq
+            );
+            assert_eq!(
+                sel.ready.contains(slot),
+                ready,
+                "ready bit of seq {}",
+                e.seq
+            );
+            assert_eq!(
+                sel.parked.contains(slot),
+                matches!(e.status, Status::Parked),
+                "parked bit of seq {}",
+                e.seq
+            );
+            assert_eq!(
+                sel.barrier.contains(slot),
+                !e.is_done() && e.inst.is_serialising(),
+                "barrier bit of seq {}",
+                e.seq
+            );
+        }
+        for (i, e) in self.rob.iter().enumerate() {
+            // Pushed in (consumer, source) order, so the list is the reverse.
+            let mut expected = std::mem::take(&mut expected_links[i]);
+            expected.reverse();
+            let list = walk(sel.consumers[sel.slot(e.seq)]);
+            assert_eq!(list, expected, "consumer list of seq {}", e.seq);
+        }
+        for slot in (0..=sel.mask as usize).filter(|&slot| !live(slot)) {
+            for (name, bits) in [
+                ("waiting", &sel.waiting),
+                ("ready", &sel.ready),
+                ("parked", &sel.parked),
+                ("barrier", &sel.barrier),
+                ("head-wait", &sel.head_wait),
+            ] {
+                assert!(!bits.contains(slot), "{name} bit set on dead slot {slot}");
+            }
+            assert_eq!(sel.pending[slot], 0, "pending count on dead slot {slot}");
+            assert_eq!(
+                sel.consumers[slot], NIL,
+                "consumer list on dead slot {slot}"
+            );
+            assert_eq!(
+                sel.store_waiters[slot], NIL,
+                "store waiters on dead slot {slot}"
+            );
         }
     }
 }
@@ -1453,15 +1829,9 @@ mod tests {
         let mut core = OooCore::new(0, &cfg);
         let mut mem = FixedLatencyMemory::default();
         core.swap_thread(Some(ThreadContext::new(program.clone(), 0)));
-        let mut events = Vec::new();
-        let mut now = Cycle::ZERO;
-        while !core.is_halted() && now.raw() < 2_000_000 {
-            core.tick(now, &mut mem, &mut events);
-            now += 1;
-        }
-        assert!(core.is_halted(), "program should halt");
+        let cycles = tick_to_halt(&mut core, &mut mem, |_| {});
         let finished = core.swap_thread(None).expect("thread present");
-        (core, finished, now.raw())
+        (core, finished, cycles)
     }
 
     /// Runs a program on both the functional interpreter and the OoO core and
@@ -1828,6 +2198,377 @@ mod tests {
         let mut mem = FixedLatencyMemory::default();
         let result = core.run_to_halt(ThreadContext::new(p, 0), &mut mem, 5_000);
         assert!(result.is_err());
+    }
+
+    /// Ticks `core` every cycle until it halts, calling `inspect` after each
+    /// tick (every tick also checks the issue-select invariants). Returns the
+    /// halt cycle.
+    fn tick_to_halt(
+        core: &mut OooCore,
+        mem: &mut dyn MemoryModel,
+        mut inspect: impl FnMut(&OooCore),
+    ) -> u64 {
+        let mut events = Vec::new();
+        let mut now = Cycle::ZERO;
+        while !core.is_halted() && now.raw() < 2_000_000 {
+            core.tick(now, mem, &mut events);
+            inspect(core);
+            now += 1;
+        }
+        assert!(core.is_halted(), "program should halt");
+        now.raw()
+    }
+
+    fn waiting_entries(core: &OooCore) -> usize {
+        core.rob
+            .iter()
+            .filter(|e| e.status == Status::Waiting)
+            .count()
+    }
+
+    /// The ROB entry at fetch index `pc`, if one is in flight.
+    fn entry_at_pc(core: &OooCore, pc: usize) -> Option<&RobEntry> {
+        core.rob.iter().find(|e| e.pc == pc)
+    }
+
+    /// Sequence numbers of the consumers linked to producer `seq`, in list
+    /// order (one per pending source operand).
+    fn consumers_of(core: &OooCore, seq: u64) -> Vec<u64> {
+        let sel = &core.select;
+        let head = core.head_seq();
+        let mut out = Vec::new();
+        let mut node = sel.consumers[sel.slot(seq)];
+        while node != NIL {
+            let slot = node as usize / 2;
+            out.push(head + (slot.wrapping_sub(sel.slot(head)) & sel.mask as usize) as u64);
+            node = sel.next_node[node as usize];
+        }
+        out
+    }
+
+    #[test]
+    fn serialising_entry_blocks_younger_issue_until_it_reaches_the_head() {
+        let mut b = ProgramBuilder::new("mid-rob-barrier");
+        b.li(Reg::X1, 0x7000);
+        b.load(Reg::X2, Reg::X1, 0); // pc 1: holds the head for 100 cycles
+        b.spec_barrier(); // pc 2
+        b.li(Reg::X3, 5); // pc 3: independent of everything
+        b.addi(Reg::X4, Reg::X3, 1);
+        b.halt();
+        let p = b.build().unwrap();
+        let mut core = OooCore::new(0, &SystemConfig::paper_default());
+        let mut mem = FixedLatencyMemory::new(100, 1);
+        core.swap_thread(Some(ThreadContext::new(p.clone(), 0)));
+        let (mut blocked_ticks, mut issued_at_head) = (0, false);
+        tick_to_halt(&mut core, &mut mem, |core| {
+            let (Some(barrier), Some(younger)) = (entry_at_pc(core, 2), entry_at_pc(core, 3))
+            else {
+                return;
+            };
+            if barrier.seq > core.head_seq() {
+                assert_eq!(
+                    younger.status,
+                    Status::Waiting,
+                    "issued past a mid-ROB barrier"
+                );
+                blocked_ticks += 1;
+            } else if younger.status != Status::Waiting {
+                issued_at_head = true;
+            }
+        });
+        assert!(
+            blocked_ticks > 50,
+            "the barrier sat behind the load ({blocked_ticks} ticks)"
+        );
+        assert!(
+            issued_at_head,
+            "younger work issues once the barrier heads the ROB"
+        );
+        let finished = core.swap_thread(None).unwrap();
+        assert_eq!(finished.regs.read(Reg::X4), 6);
+    }
+
+    #[test]
+    fn only_the_first_iq_entries_waiting_entries_are_issue_candidates() {
+        // `blocked` entries wait on a long load; the independent `li` behind
+        // them is ready at once but issues early only inside the window.
+        let run = |blocked: usize| {
+            let mut b = ProgramBuilder::new("window");
+            b.li(Reg::X1, 0x7000);
+            b.load(Reg::X2, Reg::X1, 0);
+            for k in 0..blocked {
+                b.addi(Reg::X3, Reg::X2, k as i64);
+            }
+            let li_pc = b.len();
+            b.li(Reg::X5, 9);
+            b.halt();
+            let cfg = SystemConfig::small_test();
+            let mut core = OooCore::new(0, &cfg);
+            let mut mem = FixedLatencyMemory::new(100, 1);
+            core.swap_thread(Some(ThreadContext::new(b.build().unwrap(), 0)));
+            let (mut overflowed, mut issued_early) = (false, false);
+            tick_to_halt(&mut core, &mut mem, |core| {
+                overflowed |= waiting_entries(core) > cfg.pipeline.iq_entries;
+                let load_pending = entry_at_pc(core, 1).is_some_and(|e| !e.is_done());
+                if load_pending
+                    && entry_at_pc(core, li_pc).is_some_and(|e| e.status != Status::Waiting)
+                {
+                    issued_early = true;
+                }
+            });
+            (overflowed, issued_early)
+        };
+        assert_eq!(
+            run(20),
+            (true, false),
+            "20 blocked entries fill the 16-entry window"
+        );
+        assert_eq!(
+            run(10),
+            (false, true),
+            "10 blocked entries leave room in the window"
+        );
+    }
+
+    #[test]
+    fn both_sources_from_one_producer_wake_once_it_is_done() {
+        let mut b = ProgramBuilder::new("twin-sources");
+        b.data_u64(VirtAddr::new(0x7000), &[21]);
+        b.li(Reg::X1, 0x7000);
+        b.load(Reg::X2, Reg::X1, 0); // pc 1
+        b.add(Reg::X3, Reg::X2, Reg::X2); // pc 2
+        b.halt();
+        let p = b.build().unwrap();
+        let mut core = OooCore::new(0, &SystemConfig::paper_default());
+        let mut mem = FixedLatencyMemory::new(30, 1);
+        core.swap_thread(Some(ThreadContext::new(p, 0)));
+        let mut doubly_linked = false;
+        tick_to_halt(&mut core, &mut mem, |core| {
+            if let (Some(load), Some(add)) = (entry_at_pc(core, 1), entry_at_pc(core, 2)) {
+                if !load.is_done() {
+                    assert_eq!(core.select.pending[core.select.slot(add.seq)], 2);
+                    assert_eq!(consumers_of(core, load.seq), [add.seq, add.seq]);
+                    doubly_linked = true;
+                }
+            }
+        });
+        assert!(doubly_linked);
+        assert_eq!(core.swap_thread(None).unwrap().regs.read(Reg::X3), 42);
+    }
+
+    #[test]
+    fn redispatched_consumers_relink_to_a_surviving_producer() {
+        // The branch resolves long before the load that both of its paths
+        // consume, so every mispredict squashes consumers linked to the
+        // (surviving) load, and the corrected path links anew, reusing the
+        // squashed sequence numbers.
+        let mut b = ProgramBuilder::new("relink");
+        b.data_u64(VirtAddr::new(0xa000), &[7]);
+        let (top, skip, after) = (b.new_label(), b.new_label(), b.new_label());
+        b.li(Reg::X9, 0xa000);
+        b.li(Reg::X1, 0);
+        b.bind_label(top);
+        b.load(Reg::X5, Reg::X9, 0);
+        b.li(Reg::X2, 20);
+        b.blt(Reg::X1, Reg::X2, skip);
+        b.add(Reg::X6, Reg::X5, Reg::X1);
+        b.jump(after);
+        b.bind_label(skip);
+        b.add(Reg::X7, Reg::X5, Reg::X1);
+        b.bind_label(after);
+        b.add(Reg::X8, Reg::X8, Reg::X6);
+        b.add(Reg::X8, Reg::X8, Reg::X7);
+        b.addi(Reg::X1, Reg::X1, 1);
+        b.blt_imm(Reg::X1, 24, top);
+        b.halt();
+        let p = b.build().unwrap();
+        let mut core = OooCore::new(0, &SystemConfig::paper_default());
+        let mut mem = FixedLatencyMemory::new(40, 1);
+        core.swap_thread(Some(ThreadContext::new(p.clone(), 0)));
+        let (mut squashed, mut reused) = (0, None::<std::ops::Range<u64>>);
+        let mut relinked = false;
+        let mut tail = 0;
+        tick_to_halt(&mut core, &mut mem, |core| {
+            if core.stats.squashed > squashed {
+                squashed = core.stats.squashed;
+                reused = Some(core.next_seq..tail);
+            }
+            tail = core.next_seq;
+            let Some(range) = &reused else { return };
+            for producer in core
+                .rob
+                .iter()
+                .filter(|e| e.seq < range.start && !e.is_done())
+            {
+                relinked |= consumers_of(core, producer.seq)
+                    .iter()
+                    .any(|c| range.contains(c));
+            }
+        });
+        assert!(squashed > 0, "the branch must mispredict");
+        assert!(
+            relinked,
+            "a re-dispatched consumer must link to a surviving producer"
+        );
+        let mut interp = Interpreter::new(&p);
+        let golden = interp.run(1_000_000).unwrap();
+        let finished = core.swap_thread(None).unwrap();
+        assert_eq!(finished.regs.snapshot(), golden.regs.snapshot());
+    }
+
+    /// A memory model that parks speculative loads to every third doubleword
+    /// (as a delay-until-non-speculative defense would) and charges the rest
+    /// an address-dependent latency.
+    struct ParkingMemory(FixedLatencyMemory);
+
+    impl MemoryModel for ParkingMemory {
+        fn name(&self) -> &str {
+            "parking"
+        }
+        fn fetch_instruction(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
+            self.0.fetch_instruction(ctx)
+        }
+        fn load(&mut self, ctx: &MemAccessCtx) -> MemOutcome {
+            let word = ctx.vaddr.raw() / 8;
+            if ctx.speculative && word.is_multiple_of(3) {
+                return MemOutcome::RetryWhenNonSpeculative;
+            }
+            MemOutcome::Done {
+                latency: 1 + word % 5 * 6,
+            }
+        }
+        fn store_address_ready(&mut self, ctx: &MemAccessCtx) {
+            self.0.store_address_ready(ctx)
+        }
+        fn commit_access(&mut self, ctx: &MemAccessCtx) -> u64 {
+            self.0.commit_access(ctx)
+        }
+        fn on_squash(&mut self, core: usize, when: Cycle) {
+            self.0.on_squash(core, when)
+        }
+        fn on_domain_switch(
+            &mut self,
+            core: usize,
+            kind: crate::memmodel::DomainSwitch,
+            when: Cycle,
+        ) {
+            self.0.on_domain_switch(core, kind, when)
+        }
+        fn stats(&self) -> StatSet {
+            self.0.stats()
+        }
+    }
+
+    /// A seeded random program looping `iterations` times over a body of
+    /// ALU, multiply, load, store, atomic, barrier and short forward-branch
+    /// operations on a 64-doubleword scratch region with random contents, so
+    /// branch directions depend on loaded data.
+    fn random_branchy_program(rng: &mut simkit::rng::SimRng, iterations: u64) -> Program {
+        let mut b = ProgramBuilder::new("random-branchy");
+        let data: Vec<u64> = (0..64).map(|_| rng.below(1 << 12)).collect();
+        b.data_u64(VirtAddr::new(0x9000), &data);
+        b.li(Reg::X1, 0x9000);
+        b.li(Reg::X31, 0);
+        let top = b.here();
+        let len = rng.in_range(10, 60) as usize;
+        let mut targets: Vec<(usize, uarch_isa::prog::Label)> = Vec::new();
+        let reg = |rng: &mut simkit::rng::SimRng| Reg::from_index(2 + rng.below(28) as usize);
+        for i in 0..len {
+            for (_, label) in targets.iter().filter(|(at, _)| *at == i) {
+                b.bind_label(*label);
+            }
+            targets.retain(|(at, _)| *at != i);
+            let (rd, rs1, rs2) = (reg(rng), reg(rng), reg(rng));
+            match rng.below(10) {
+                0 | 1 => {
+                    b.add(rd, rs1, rs2);
+                }
+                2 => {
+                    b.addi(rd, rs1, rng.below(64) as i64);
+                }
+                3 => {
+                    b.mul(rd, rs1, rs2);
+                }
+                4 | 5 => {
+                    b.andi(Reg::X30, rs1, 0x1f8);
+                    b.add(Reg::X30, Reg::X30, Reg::X1);
+                    b.load(rd, Reg::X30, 0);
+                }
+                6 => {
+                    b.andi(Reg::X30, rs1, 0x1f8);
+                    b.add(Reg::X30, Reg::X30, Reg::X1);
+                    b.store(rs2, Reg::X30, 0);
+                }
+                7 => {
+                    b.andi(Reg::X30, rs1, 0x1f8);
+                    b.add(Reg::X30, Reg::X30, Reg::X1);
+                    b.amoadd(rd, rs2, Reg::X30);
+                }
+                8 => {
+                    let label = b.new_label();
+                    b.blt(rs1, rs2, label);
+                    targets.push(((i + 1 + rng.below(4) as usize).min(len), label));
+                }
+                _ => {
+                    if rng.chance(1, 3) {
+                        b.spec_barrier();
+                    } else {
+                        b.li(rd, rng.below(1 << 12));
+                    }
+                }
+            }
+        }
+        for (_, label) in targets {
+            b.bind_label(label);
+        }
+        b.addi(Reg::X31, Reg::X31, 1);
+        b.blt_imm(Reg::X31, iterations, top);
+        b.halt();
+        b.build().expect("random program builds")
+    }
+
+    #[test]
+    fn random_programs_keep_the_select_invariants_on_a_small_window() {
+        // ROB 32 / IQ 16: the window overflows, the 64-slot ring wraps, and
+        // squashes reuse sequence numbers. Every tick checks the invariants.
+        let cfg = SystemConfig::small_test();
+        let (mut overflowed, mut squashed, mut parked) = (false, 0, 0);
+        for seed in 0..48 {
+            let mut rng = simkit::rng::SimRng::seed_from(0x5e1e_c700 + seed);
+            let p = random_branchy_program(&mut rng, 4);
+            let golden = Interpreter::new(&p)
+                .run(1_000_000)
+                .expect("interpreter halts");
+
+            let mut core = OooCore::new(0, &cfg);
+            let mut mem = ParkingMemory(FixedLatencyMemory::default());
+            core.swap_thread(Some(ThreadContext::new(p.clone(), 0)));
+            let cycles = tick_to_halt(&mut core, &mut mem, |core| {
+                overflowed |= waiting_entries(core) > cfg.pipeline.iq_entries;
+            });
+            let ticked = core.swap_thread(None).unwrap();
+            assert_eq!(
+                ticked.regs.snapshot(),
+                golden.regs.snapshot(),
+                "seed {seed}"
+            );
+            squashed += core.stats().squashed;
+            parked += core.stats().mem_retries;
+
+            let mut fast = OooCore::new(0, &cfg);
+            let mut mem = ParkingMemory(FixedLatencyMemory::default());
+            let fast_cycles = fast
+                .run_to_halt(ThreadContext::new(p, 0), &mut mem, 2_000_000)
+                .expect("halts");
+            assert_eq!(
+                (fast_cycles, fast.stats()),
+                (cycles, core.stats()),
+                "seed {seed}"
+            );
+        }
+        assert!(overflowed, "some program must overflow the issue window");
+        assert!(squashed > 0, "some program must squash");
+        assert!(parked > 0, "some program must park a load");
     }
 
     #[test]

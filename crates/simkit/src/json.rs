@@ -422,17 +422,25 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(JsonError::parse("control character in string", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so byte
-                    // boundaries are guaranteed valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::parse("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(JsonError::parse("control character in string", self.pos));
+                    // Consume the run of plain characters up to the next
+                    // quote, backslash or control byte in one slice. The run
+                    // starts and ends next to an ASCII byte (or at the end
+                    // of input), so it is whole UTF-8 characters of the
+                    // `&str` input and always valid.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| JsonError::parse("invalid UTF-8", start))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -584,6 +592,29 @@ mod tests {
         let text = Json::Str(original.to_string()).to_string_compact();
         assert_eq!(parse(&text).unwrap().as_str(), Some(original));
         assert_eq!(parse(r#""µops""#).unwrap().as_str(), Some("µops"));
+    }
+
+    #[test]
+    fn multibyte_text_between_escapes_round_trips() {
+        let original = "µops→ \"naïve\"\t日本語\\ end ✓";
+        let text = Json::Str(original.to_string()).to_string_compact();
+        assert_eq!(parse(&text).unwrap().as_str(), Some(original));
+        assert_eq!(
+            parse(r#""a\u00e9b→\n""#).unwrap().as_str(),
+            Some("a\u{e9}b→\n")
+        );
+    }
+
+    #[test]
+    fn control_characters_in_strings_are_rejected_at_their_offset() {
+        // `µ` and `→` are 2 and 3 bytes long: the \u{1} sits at byte 9.
+        let err = parse("[\"µ→ok\u{1}\"]").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "JSON parse error at byte 9: control character in string"
+        );
+        let err = parse("\"\ttab\"").unwrap_err();
+        assert_eq!(err.offset, Some(1));
     }
 
     #[test]

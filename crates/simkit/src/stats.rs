@@ -23,9 +23,16 @@ impl StatSet {
         StatSet::default()
     }
 
-    /// Adds `delta` to the counter `name`, creating it if needed.
+    /// Adds `delta` to the counter `name`, creating it if needed. Only a
+    /// counter's first touch allocates (its owned key); later increments
+    /// update it in place.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(counter) => *counter += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments the counter `name` by one.

@@ -29,7 +29,7 @@
 //! |---|---|---|
 //! | [`read`](StoreBackend::read) | entry lookups, lease inspection | none (a torn value must merely *parse* as garbage) |
 //! | [`put_atomic`](StoreBackend::put_atomic) | entry publish, lease steal, done marker, heartbeat | readers see the old value or the new, never a prefix |
-//! | [`create_new`](StoreBackend::create_new) | lease acquisition | exactly one of N racing creators wins |
+//! | [`create_new`](StoreBackend::create_new) | lease acquisition | exactly one of N racing creators wins; readers never see the object before its bytes |
 //! | [`remove`](StoreBackend::remove) | lease release, GC eviction | missing is success |
 //! | [`list`](StoreBackend::list) | entry census ([`len`](super::ResultStore::len)), GC order | none |
 
@@ -75,7 +75,9 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
 
     /// Creates `name` with `bytes` only if it does not already exist:
     /// `Ok(true)` when this call created it, `Ok(false)` when somebody else
-    /// got there first. Exactly one of any number of racing creators wins.
+    /// got there first. Exactly one of any number of racing creators wins,
+    /// and a concurrent [`read`](Self::read) never sees the object without
+    /// its full contents.
     fn create_new(&self, name: &str, bytes: &[u8]) -> io::Result<bool>;
 
     /// Removes `name`. A missing object is not an error.
@@ -100,7 +102,8 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// default, bit-compatible with every store directory written before the
 /// backend trait existed. Objects are files under `root` (names map to
 /// relative paths), `put_atomic` is the classic temp-file + `rename`, and
-/// `create_new` is `O_CREAT|O_EXCL`.
+/// `create_new` hard-links a fully written temp file into place (a link
+/// fails if the name exists).
 #[derive(Debug)]
 pub struct FsBackend {
     root: PathBuf,
@@ -171,16 +174,17 @@ impl StoreBackend for FsBackend {
         let path = self.path_of(name);
         let dir = path.parent().expect("object paths always have a parent");
         std::fs::create_dir_all(dir)?;
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                use io::Write as _;
-                file.write_all(bytes)?;
-                Ok(true)
-            }
+        // Write the bytes under a temp name, then hard-link them into place:
+        // the link is an atomic create-if-absent, so no reader ever sees the
+        // object before its contents. (An exclusive open followed by a write
+        // exposes an empty file in between, which a lease reader takes for
+        // an abandoned lease and steals.)
+        let temp = dir.join(Self::temp_name());
+        std::fs::write(&temp, bytes)?;
+        let linked = std::fs::hard_link(&temp, &path);
+        let _ = std::fs::remove_file(&temp);
+        match linked {
+            Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
             Err(e) => Err(e),
         }
@@ -795,6 +799,34 @@ mod tests {
     fn fs_backend_satisfies_the_contract() {
         let root = temp_root("contract-fs");
         exercise_contract(&FsBackend::new(&root));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn fs_create_new_is_never_seen_empty() {
+        // A lease reader that caught a created-but-unwritten object would
+        // take it for abandoned and steal it.
+        let root = temp_root("create-new-fs");
+        let backend = FsBackend::new(&root);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..2_000 {
+                    assert!(backend.create_new(".leases/r.lease", b"held").unwrap());
+                    backend.remove(".leases/r.lease").unwrap();
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            while !stop.load(Ordering::Relaxed) {
+                if let Some(bytes) = backend.read(".leases/r.lease").unwrap() {
+                    assert_eq!(bytes, b"held", "read a partially created object");
+                }
+            }
+        });
+        assert!(
+            backend.list("").unwrap().is_empty(),
+            "no temp litter listed"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
